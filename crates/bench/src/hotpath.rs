@@ -4,9 +4,8 @@
 //! once per heartbeat without perturbing the application it controls. This
 //! module builds the closed loop the way a real deployment wires it —
 //! monitor (windowed rate) → controller (speedup) → actuator (knob
-//! schedule) — and steps it one heartbeat at a time, so both the Criterion
-//! bench (`benches/hotpath.rs`) and the `hotpath` binary (which emits
-//! `BENCH_hotpath.json`) measure the same code.
+//! schedule) — and steps it one heartbeat at a time, for the `hotpath`
+//! binary (which emits `BENCH_hotpath.json`).
 //!
 //! Two variants exist:
 //!

@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it on the simulated platform and prints the

@@ -4,7 +4,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use powerdial_heartbeats::channel::BeatSample;
-use powerdial_heartbeats::shm::{DecisionRead, PeerState, Segment, ShmDecision, ShmProducer};
+use powerdial_heartbeats::shm::{
+    jittered_backoff, DecisionRead, PeerState, Segment, ShmDecision, ShmProducer,
+};
 use powerdial_heartbeats::{HeartbeatTag, Timestamp, TimestampDelta};
 
 use crate::error::ClientError;
@@ -297,7 +299,7 @@ impl PowerDialClient {
                 .config
                 .retry_backoff
                 .saturating_mul(1u32 << attempt.min(10));
-            self.next_reattach_at = Some(now + jittered(base, attempt));
+            self.next_reattach_at = Some(now + jittered_backoff(base, attempt));
             match self.reattach_once(&path) {
                 Ok(()) => {
                     self.reattach_attempt = 0;
@@ -561,32 +563,6 @@ impl PowerDialClient {
     }
 }
 
-/// Deterministic per-process jitter in permille of a backoff interval
-/// (0..=250, i.e. up to a 25% stretch), mixed from the process identity
-/// (PID plus its kernel start-time nonce) and the attempt index — no RNG
-/// dependency, yet clients orphaned by the same daemon crash desynchronize
-/// their retry storms instead of hammering the restarted broker in phase.
-fn jitter_permille(attempt: u32) -> u128 {
-    use powerdial_heartbeats::shm::{current_pid, process_start_nonce};
-    let pid = current_pid();
-    let mut x = (u64::from(pid) << 32)
-        ^ process_start_nonce(pid).unwrap_or(0)
-        ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // splitmix64 finalizer: avalanche the structured inputs.
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    u128::from(x % 251)
-}
-
-/// `base` stretched by this process's jitter for the given attempt.
-fn jittered(base: Duration, attempt: u32) -> Duration {
-    let extra = base.as_nanos().saturating_mul(jitter_permille(attempt)) / 1000;
-    base + Duration::from_nanos(extra.min(u128::from(u64::MAX)) as u64)
-}
-
 /// Runs `attempt` up to the configured number of times with doubling,
 /// jittered backoff, stopping early on a non-retryable error.
 fn retry<T>(
@@ -598,7 +574,7 @@ fn retry<T>(
     let mut last = None;
     for index in 0..attempts {
         if index > 0 {
-            std::thread::sleep(jittered(backoff, index));
+            std::thread::sleep(jittered_backoff(backoff, index));
             backoff = backoff.saturating_mul(2);
         }
         match attempt(config) {
@@ -909,27 +885,6 @@ mod tests {
             }
         });
         assert_eq!(result.unwrap(), 3, "success ends the retry loop");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let base = Duration::from_millis(100);
-        for attempt in 0..16u32 {
-            let j = jittered(base, attempt);
-            assert_eq!(j, jittered(base, attempt), "same inputs, same stretch");
-            assert!(j >= base, "jitter only extends the backoff");
-            assert!(
-                j <= base + base / 4,
-                "stretch is capped at 25% (got {j:?} for attempt {attempt})"
-            );
-        }
-        // The permille value actually varies across attempts (the mix is
-        // not degenerate): 16 attempts hitting one value is ~250^-15.
-        let first = jitter_permille(0);
-        assert!(
-            (1..16).any(|attempt| jitter_permille(attempt) != first),
-            "jitter must depend on the attempt index"
-        );
     }
 
     #[cfg(all(feature = "broker", target_os = "linux"))]

@@ -86,6 +86,18 @@
 //! the equivalence tests); threaded mode has the same per-app semantics but
 //! interleaves beat arrival with draining.
 //!
+//! In threaded mode each worker's shard sits behind an `Arc<Mutex<_>>` the
+//! façade shares with the worker thread, and the thread exists for exactly
+//! one job: running its shard's quantum concurrently with the others. The
+//! command channel therefore carries three messages — `Tick` (lock, run
+//! the quantum, unlock, ack the beat count), `Crash` (the fault-injection
+//! kill) and `Shutdown`. Everything else the façade does to a shard —
+//! register, unregister, wake, arm a panic, read telemetry — it does by
+//! locking the shard itself: the façade is `&mut self` and a tick collects
+//! every ack before it returns, so between ticks the lock is always free,
+//! whether the worker is alive or dead (a dead worker's poisoned lock is
+//! recovered, the state under it being what the worker last saw).
+//!
 //! # Fault containment and self-healing
 //!
 //! The daemon extends the paper's "keep applications responsive while the
@@ -123,26 +135,30 @@
 //!   until [`PowerDialDaemon::unregister`]/[`PowerDialDaemon::reap_dead`]
 //!   evicts it (a reaper treats a quarantined app's undrained backlog as
 //!   forfeit — it would never be processed anyway).
-//! * **Shard resurrection.** When a worker thread does die (a panic
-//!   escaping containment, an injected kill), the facade marks the shard
-//!   dead — [`PowerDialDaemon::try_tick`] surfaces the death once as
-//!   [`ControlError::ShardDead`], registration routes around the corpse —
-//!   and [`PowerDialDaemon::respawn_dead`] resurrects it: the worker's
-//!   shard state is recovered through the poisoned mutex, the slot that
-//!   was mid-step (if any) is quarantined, and a fresh thread is spawned
-//!   *at the same shard index* with every surviving app's
-//!   `AppShared`/segment binding migrated intact — runtimes, windows, and
-//!   undrained transports included, so decisions resume bit-identically
-//!   and no beat is lost beyond channel capacity. (The PR 6 shm
-//!   warm-start block stays current throughout and remains the recovery
-//!   path for *daemon-process* death, where in-heap state cannot
-//!   survive.) Incidents are counted on the facade and traced as
+//! * **Shard resurrection.** A worker thread can only die while the
+//!   façade waits on it (mid-`Tick`, or on an injected `Crash`), so the
+//!   death is always seen at once: the façade marks the shard dead —
+//!   [`PowerDialDaemon::try_tick`] surfaces it once as
+//!   [`ControlError::ShardDead`], new registrations go to live shards —
+//!   and stops ticking it. The corpse's apps stay reachable through the
+//!   shard lock in the meantime (unregister, reap and telemetry work on a
+//!   dead shard exactly as on a live one; only draining stops).
+//!   [`PowerDialDaemon::respawn_dead`] resurrects it: the shard state is
+//!   taken out from under the poisoned mutex, the slot that was mid-step
+//!   (if any) is quarantined, and a fresh thread is spawned *at the same
+//!   shard index* with every surviving app's `AppShared`/segment binding
+//!   migrated intact — runtimes, windows, and undrained transports
+//!   included, so decisions resume bit-identically and no beat is lost
+//!   beyond channel capacity. (The PR 6 shm warm-start block stays
+//!   current throughout and remains the recovery path for
+//!   *daemon-process* death, where in-heap state cannot survive.)
+//!   Incidents are counted on the facade and traced as
 //!   `shard_dead`/`shard_respawned`/`migrated` records.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use powerdial_heartbeats::channel::{beat_channel, BeatConsumer, BeatSample, BeatTransport};
@@ -285,7 +301,7 @@ impl Default for DaemonConfig {
 /// state of the fault-containment machine — see the module docs).
 ///
 /// Readable lock-free from the app side via
-/// [`DecisionView::quarantine_reason`]/[`AppHandle::quarantine_reason`].
+/// [`DecisionView::quarantine_reason`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QuarantineReason {
@@ -346,6 +362,38 @@ struct AppShared {
 }
 
 impl AppShared {
+    /// The one publication of a decision: the three aggregate words, then
+    /// the packed word under the next decision count. Single writer (the
+    /// owning shard), so the count is carried in the word itself; it only
+    /// signals presence/freshness, and the masked value 0 is skipped on
+    /// the 2³² wrap so `latest_point` stays `Some`.
+    fn publish(&self, decision: ShmDecision) {
+        self.gain_bits.store(decision.gain_bits, Ordering::Release);
+        self.achieved_speedup_bits
+            .store(decision.achieved_speedup_bits, Ordering::Release);
+        self.qos_loss_bits
+            .store(decision.qos_loss_bits, Ordering::Release);
+        // Relaxed: the sole writer reading back its own last store.
+        let count = (self.decision.load(Ordering::Relaxed) >> 32) as u32;
+        let count = count.checked_add(1).unwrap_or(1);
+        self.decision.store(
+            u64::from(count) << 32 | u64::from(decision.point_idx),
+            Ordering::Release,
+        );
+    }
+
+    /// The four decision words as last published (all zero before the
+    /// first decision) — what the shm decision block, the trace and
+    /// [`DecisionView`] all serve, so they agree bit for bit.
+    fn latest(&self) -> ShmDecision {
+        ShmDecision {
+            point_idx: self.decision.load(Ordering::Acquire) as u32,
+            gain_bits: self.gain_bits.load(Ordering::Acquire),
+            achieved_speedup_bits: self.achieved_speedup_bits.load(Ordering::Acquire),
+            qos_loss_bits: self.qos_loss_bits.load(Ordering::Acquire),
+        }
+    }
+
     fn latest_point(&self) -> Option<PointIdx> {
         let packed = self.decision.load(Ordering::Acquire);
         if packed >> 32 == 0 {
@@ -444,17 +492,26 @@ impl DecisionView {
 /// beats (move the handle to hand it off).
 #[derive(Debug)]
 pub struct AppHandle {
-    id: AppId,
+    view: DecisionView,
     producer: BeatProducer,
-    shared: Arc<AppShared>,
     next_tag: HeartbeatTag,
     last_timestamp: Option<Timestamp>,
+}
+
+/// The decision getters (`latest_point`, `latest_gain`, …,
+/// `quarantine_reason`) are [`DecisionView`]'s, reached through deref.
+impl std::ops::Deref for AppHandle {
+    type Target = DecisionView;
+
+    fn deref(&self) -> &DecisionView {
+        &self.view
+    }
 }
 
 impl AppHandle {
     /// The application's daemon-assigned identifier.
     pub fn id(&self) -> AppId {
-        self.id
+        self.view.id
     }
 
     /// Emits one heartbeat at `now`: builds the beat record (sequence tag
@@ -498,54 +555,15 @@ impl AppHandle {
         self.producer.try_push(sample)
     }
 
-    /// Index (into the app's knob table) of the latest decided setting, or
-    /// `None` before the daemon has processed any beat.
-    pub fn latest_point(&self) -> Option<PointIdx> {
-        self.shared.latest_point()
-    }
-
-    /// The latest decided knob gain (instantaneous speedup), or `None`
-    /// before the first decision.
-    pub fn latest_gain(&self) -> Option<f64> {
-        self.shared.latest_gain()
-    }
-
-    /// The achieved (time-averaged) speedup of the most recent quantum the
-    /// daemon planned for this app, or `None` before the first decision.
-    pub fn achieved_speedup(&self) -> Option<f64> {
-        self.shared.achieved_speedup()
-    }
-
-    /// The expected QoS loss of the most recent planned quantum, or `None`
-    /// before the first decision.
-    pub fn expected_qos_loss(&self) -> Option<f64> {
-        self.shared.expected_qos_loss()
-    }
-
-    /// Total beats the daemon has processed for this application.
-    pub fn beats_processed(&self) -> u64 {
-        self.shared.beats_processed()
-    }
-
     /// Beats rejected by the channel so far (backpressure).
     pub fn beats_rejected(&self) -> u64 {
         self.producer.rejected()
     }
 
-    /// Why this application was quarantined, or `None` while it is
-    /// healthy. A quarantined app's beats are never drained again; its
-    /// decision accessors serve the configured safe state.
-    pub fn quarantine_reason(&self) -> Option<QuarantineReason> {
-        self.shared.quarantine_reason()
-    }
-
     /// A standalone view of this app's decision state (what
     /// [`PowerDialDaemon::register_shm`] returns for cross-process apps).
     pub fn decision_view(&self) -> DecisionView {
-        DecisionView {
-            id: self.id,
-            shared: Arc::clone(&self.shared),
-        }
+        self.view.clone()
     }
 }
 
@@ -586,7 +604,6 @@ struct ControlState {
     runtime: PowerDialRuntime,
     window: SlidingWindow,
     shared: Arc<AppShared>,
-    decisions: u64,
     /// Observed rate inherited from a crashed predecessor daemon's
     /// warm-start block. Primes the decide-before-observe step only while
     /// this daemon's own window is still empty (the window never empties
@@ -730,30 +747,61 @@ impl ControlState {
             .current_schedule()
             .expect("schedule exists after stepping");
         let qos_loss = schedule.expected_qos_loss(self.runtime.table());
-        // The packed sequence only signals presence/freshness; skip the
-        // masked value 0 on wraparound so `latest_point` stays `Some`.
-        self.decisions = self.decisions.wrapping_add(1);
-        if self.decisions & 0xFFFF_FFFF == 0 {
-            self.decisions = self.decisions.wrapping_add(1);
-        }
-        self.shared
-            .gain_bits
-            .store(decision.gain.to_bits(), Ordering::Release);
-        self.shared
-            .achieved_speedup_bits
-            .store(schedule.achieved_speedup.to_bits(), Ordering::Release);
-        self.shared
-            .qos_loss_bits
-            .store(qos_loss.to_bits(), Ordering::Release);
-        self.shared.decision.store(
-            (self.decisions & 0xFFFF_FFFF) << 32 | u64::from(decision.point_idx.as_usize() as u32),
-            Ordering::Release,
-        );
+        self.shared.publish(ShmDecision {
+            point_idx: decision.point_idx.as_usize() as u32,
+            gain_bits: decision.gain.to_bits(),
+            achieved_speedup_bits: schedule.achieved_speedup.to_bits(),
+            qos_loss_bits: qos_loss.to_bits(),
+        });
         self.shared
             .beats_processed
             .fetch_add(batch_len as u64, Ordering::AcqRel);
     }
 }
+
+/// The decision that serves knob-table point `point` as-is: gain and
+/// achieved speedup are the point's speedup, QoS loss is the table's.
+/// What quarantine publishes as the safe state, and what adoption
+/// re-synthesizes from a warm point when the predecessor tore the block.
+fn table_decision(table: &KnobTable, point: PointIdx) -> ShmDecision {
+    let speedup = table.speedup_of(point);
+    ShmDecision {
+        point_idx: point.as_usize() as u32,
+        gain_bits: speedup.to_bits(),
+        achieved_speedup_bits: speedup.to_bits(),
+        qos_loss_bits: table.point(point).qos_loss.value().to_bits(),
+    }
+}
+
+/// The one constructor of a trace record (the ring stamps `seq`).
+/// Incident records, which belong to a shard rather than a decision,
+/// pass [`NO_DECISION`].
+fn trace_record(
+    app: u64,
+    timestamp: Timestamp,
+    reason: TraceReason,
+    decision: ShmDecision,
+) -> DecisionTraceRecord {
+    DecisionTraceRecord {
+        seq: 0,
+        timestamp,
+        app,
+        point_idx: decision.point_idx,
+        reason,
+        gain: decision.gain(),
+        achieved_speedup: decision.achieved_speedup(),
+        qos_loss: decision.expected_qos_loss(),
+    }
+}
+
+/// All-zero decision words: what [`AppShared::latest`] reads before the
+/// first decision, and what shard-incident trace records carry.
+const NO_DECISION: ShmDecision = ShmDecision {
+    point_idx: 0,
+    gain_bits: 0,
+    achieved_speedup_bits: 0,
+    qos_loss_bits: 0,
+};
 
 /// Per-app hot-path telemetry: the two fixed-footprint histograms the
 /// drain loop records into, boxed so an `AppSlot` stays small for the
@@ -861,40 +909,23 @@ pub struct DaemonShard {
 }
 
 impl DaemonShard {
-    /// Creates an empty shard with default tuning (no idle skipping, no
-    /// drain cap).
-    pub fn new() -> Self {
-        DaemonShard::default()
-    }
-
-    /// Creates an empty shard with the given idle-skip threshold and drain
-    /// cap (see [`DaemonConfig::idle_skip_limit`] and
-    /// [`DaemonConfig::drain_cap`]), without a decision trace.
-    pub fn with_tuning(idle_skip_limit: u32, drain_cap: usize) -> Self {
+    /// Creates an empty shard tuned from the daemon's configuration:
+    /// idle-skip threshold, drain cap, safe point, and — with telemetry
+    /// on — a decision-trace ring of [`DaemonConfig::trace_capacity`]
+    /// records.
+    fn from_config(config: &DaemonConfig) -> Self {
+        let trace_capacity = if config.telemetry {
+            config.trace_capacity
+        } else {
+            0
+        };
         DaemonShard {
-            idle_skip_limit,
-            drain_cap,
-            ..DaemonShard::default()
-        }
-    }
-
-    /// [`DaemonShard::with_tuning`] plus a decision-trace ring of
-    /// `trace_capacity` records (see [`DaemonConfig::trace_capacity`]).
-    pub fn with_telemetry(idle_skip_limit: u32, drain_cap: usize, trace_capacity: usize) -> Self {
-        DaemonShard {
-            idle_skip_limit,
-            drain_cap,
+            idle_skip_limit: config.idle_skip_limit,
+            drain_cap: config.drain_cap,
             trace: DecisionTraceRing::with_capacity(trace_capacity),
+            safe_point: config.safe_point,
             ..DaemonShard::default()
         }
-    }
-
-    /// Sets the knob point published for quarantined apps (builder form;
-    /// see [`DaemonConfig::safe_point`]).
-    #[must_use]
-    pub fn with_safe_point(mut self, safe_point: u32) -> Self {
-        self.safe_point = safe_point;
-        self
     }
 
     /// Current capacity of the shard's drain scratch buffer, in beat
@@ -918,79 +949,65 @@ impl DaemonShard {
         self.apps.push(slot);
     }
 
+    fn slot(&self, id: AppId) -> Option<&AppSlot> {
+        self.apps.iter().find(|slot| slot.id == id)
+    }
+
+    fn slot_mut(&mut self, id: AppId) -> Option<&mut AppSlot> {
+        self.apps.iter_mut().find(|slot| slot.id == id)
+    }
+
     fn remove(&mut self, id: AppId) -> bool {
-        match self.apps.iter().position(|slot| slot.id == id) {
-            Some(index) => {
-                let slot = self.apps.swap_remove(index);
-                // A reaped/unregistered shm app's decision and warm-start
-                // blocks are reset before the daemon lets go of the
-                // mapping, so the segment's next tenant starts from
-                // `Empty` — neither a previous app's stale knob setting
-                // nor its controller trajectory leaks into a reuse.
-                if let BeatSource::Shm(consumer) = &slot.consumer {
-                    consumer.reset_decision();
-                    consumer.reset_warm_state();
-                }
-                if let Some(telemetry) = &slot.telemetry {
-                    let shared = &slot.control.shared;
-                    self.trace.push(DecisionTraceRecord {
-                        seq: 0,
-                        timestamp: telemetry.last_beat,
-                        app: slot.id.value(),
-                        point_idx: shared.decision.load(Ordering::Acquire) as u32,
-                        reason: TraceReason::SafeReset,
-                        gain: f64::from_bits(shared.gain_bits.load(Ordering::Acquire)),
-                        achieved_speedup: f64::from_bits(
-                            shared.achieved_speedup_bits.load(Ordering::Acquire),
-                        ),
-                        qos_loss: f64::from_bits(shared.qos_loss_bits.load(Ordering::Acquire)),
-                    });
-                }
-                true
-            }
-            None => false,
+        let Some(index) = self.apps.iter().position(|slot| slot.id == id) else {
+            return false;
+        };
+        let slot = self.apps.swap_remove(index);
+        // A reaped/unregistered shm app's decision and warm-start blocks
+        // are reset before the daemon lets go of the mapping, so the
+        // segment's next tenant starts from `Empty` — neither a previous
+        // app's stale knob setting nor its controller trajectory leaks
+        // into a reuse.
+        if let BeatSource::Shm(consumer) = &slot.consumer {
+            consumer.reset_decision();
+            consumer.reset_warm_state();
         }
+        if let Some(telemetry) = &slot.telemetry {
+            self.trace.push(trace_record(
+                id.value(),
+                telemetry.last_beat,
+                TraceReason::SafeReset,
+                slot.control.shared.latest(),
+            ));
+        }
+        true
     }
 
     /// Resets an app's idle-skip bookkeeping so the next quantum polls
     /// its transport unconditionally. Used by the reaper when a skipped
     /// slot's producer died with beats still pending — the countdown
-    /// must not delay draining (and thus reaping) the corpse. Returns
-    /// `false` when the shard does not own `id`.
-    fn wake(&mut self, id: AppId) -> bool {
-        match self.apps.iter_mut().find(|slot| slot.id == id) {
-            Some(slot) => {
-                slot.silent_streak = 0;
-                slot.skip_countdown = 0;
-                true
-            }
-            None => false,
+    /// must not delay draining (and thus reaping) the corpse.
+    fn wake(&mut self, id: AppId) {
+        if let Some(slot) = self.slot_mut(id) {
+            slot.silent_streak = 0;
+            slot.skip_countdown = 0;
         }
     }
 
-    /// Arms the explicit fault-injection hook: `id`'s next processing
-    /// step panics *inside* the containment guard, exercising the
-    /// quarantine path end to end. Test-only by convention — production
-    /// code has no reason to call it. Returns `false` when the shard does
-    /// not own `id`.
-    pub fn arm_panic(&mut self, id: AppId) -> bool {
-        match self.apps.iter_mut().find(|slot| slot.id == id) {
-            Some(slot) => {
-                slot.panic_armed = true;
-                true
-            }
-            None => false,
-        }
+    /// Arms the fault-injection hook behind
+    /// [`PowerDialDaemon::inject_app_panic`]: `id`'s next processing step
+    /// panics *inside* the containment guard, exercising the quarantine
+    /// path end to end. Returns `false` when the shard does not own `id`.
+    fn arm_panic(&mut self, id: AppId) -> bool {
+        self.slot_mut(id)
+            .map(|slot| slot.panic_armed = true)
+            .is_some()
     }
 
     /// Quarantine state of `id`: `Some(reason)` once the app has been
     /// quarantined, `None` while healthy (or when the shard does not own
     /// `id`).
     pub fn quarantine_reason(&self, id: AppId) -> Option<QuarantineReason> {
-        self.apps
-            .iter()
-            .find(|slot| slot.id == id)
-            .and_then(|slot| slot.quarantined)
+        self.slot(id).and_then(|slot| slot.quarantined)
     }
 
     /// Number of quarantined apps currently parked on this shard.
@@ -999,11 +1016,6 @@ impl DaemonShard {
             .iter()
             .filter(|slot| slot.quarantined.is_some())
             .count()
-    }
-
-    /// True when this shard owns `id`.
-    fn contains(&self, id: AppId) -> bool {
-        self.apps.iter().any(|slot| slot.id == id)
     }
 
     /// Parks a faulty app: records the blame, publishes the configured
@@ -1027,74 +1039,58 @@ impl DaemonShard {
         slot.quarantined = Some(reason);
         let table = slot.control.runtime.table();
         let point = PointIdx::new(safe_point.min(table.len().saturating_sub(1) as u32));
-        let speedup = table.speedup_of(point);
-        let qos_loss = table.point(point).qos_loss.value();
-        let shared = &slot.control.shared;
-        shared.gain_bits.store(speedup.to_bits(), Ordering::Release);
-        shared
-            .achieved_speedup_bits
-            .store(speedup.to_bits(), Ordering::Release);
-        shared
-            .qos_loss_bits
-            .store(qos_loss.to_bits(), Ordering::Release);
-        // Publish through the same packed-sequence word as a healthy
-        // decision so `latest_point` observers see a *fresh* safe decision
-        // rather than the fault's leftovers (skip the masked value 0, as
-        // `publish_batch` does).
-        slot.control.decisions = slot.control.decisions.wrapping_add(1);
-        if slot.control.decisions & 0xFFFF_FFFF == 0 {
-            slot.control.decisions = slot.control.decisions.wrapping_add(1);
-        }
-        shared.decision.store(
-            (slot.control.decisions & 0xFFFF_FFFF) << 32 | u64::from(point.as_usize() as u32),
-            Ordering::Release,
-        );
-        shared.quarantined.store(reason.code(), Ordering::Release);
+        let safe = table_decision(table, point);
+        // Through the same publication as a healthy decision, so
+        // `latest_point` observers see a *fresh* safe decision rather than
+        // the fault's leftovers.
+        slot.control.shared.publish(safe);
+        slot.control
+            .shared
+            .quarantined
+            .store(reason.code(), Ordering::Release);
         if let BeatSource::Shm(consumer) = &slot.consumer {
             // The client reads a *published* safe decision (its ladder
             // serves it as `Published`, not a fallback) within its next
             // decision poll.
-            consumer.publish_decision(ShmDecision {
-                point_idx: point.as_usize() as u32,
-                gain_bits: speedup.to_bits(),
-                achieved_speedup_bits: speedup.to_bits(),
-                qos_loss_bits: qos_loss.to_bits(),
-            });
+            consumer.publish_decision(safe);
             consumer.reset_warm_state();
         }
-        trace.push(DecisionTraceRecord {
-            seq: 0,
-            timestamp: slot
-                .telemetry
-                .as_deref()
-                .map(|t| t.last_beat)
-                .unwrap_or(Timestamp::from_nanos(0)),
-            app: slot.id.value(),
-            point_idx: point.as_usize() as u32,
-            reason: TraceReason::Quarantined,
-            gain: speedup,
-            achieved_speedup: speedup,
-            qos_loss,
-        });
+        let last_beat = slot.telemetry.as_deref().map(|t| t.last_beat);
+        trace.push(trace_record(
+            slot.id.value(),
+            last_beat.unwrap_or(Timestamp::from_nanos(0)),
+            TraceReason::Quarantined,
+            safe,
+        ));
     }
 
-    /// Drains one app's transport, honoring the idle-skip streak and the
-    /// drain cap. Returns `None` when the app was skipped without touching
-    /// its transport, `Some(drained)` otherwise. Shared by the batched and
-    /// per-beat quantum loops so both see identical drains.
-    fn drain_slot(
-        slot: &mut AppSlot,
-        scratch: &mut Vec<BeatSample>,
-        idle_skip_limit: u32,
-        drain_cap: usize,
-    ) -> Option<usize> {
-        if idle_skip_limit > 0 && slot.silent_streak >= idle_skip_limit {
-            if slot.skip_countdown > 0 {
-                slot.skip_countdown -= 1;
-                return None;
-            }
-            slot.skip_countdown = idle_skip_limit;
+    /// Quarantines the app whose step was executing when this shard's
+    /// worker died, if any. Contained faults never leave `in_flight` set
+    /// (the sweep clears it); only a panic that escaped containment —
+    /// e.g. an injected worker crash — does, and it blames exactly one
+    /// app.
+    fn blame_in_flight(&mut self) {
+        let Some(blamed) = self.in_flight.take() else {
+            return;
+        };
+        let DaemonShard {
+            apps,
+            trace,
+            safe_point,
+            ..
+        } = self;
+        let culprit = apps
+            .iter_mut()
+            .find(|slot| slot.id.value() == blamed && slot.quarantined.is_none());
+        if let Some(slot) = culprit {
+            Self::quarantine_slot(slot, *safe_point, trace, QuarantineReason::Panic);
         }
+    }
+
+    /// Drains one app's transport under the drain cap and keeps its
+    /// silent streak current (what the sweep's idle-skip reads). Returns
+    /// the beats drained into `scratch`.
+    fn drain_slot(slot: &mut AppSlot, scratch: &mut Vec<BeatSample>, drain_cap: usize) -> usize {
         let cap = if drain_cap == 0 {
             usize::MAX
         } else {
@@ -1107,7 +1103,7 @@ impl DaemonShard {
             slot.silent_streak = 0;
             slot.skip_countdown = 0;
         }
-        Some(drained)
+        drained
     }
 
     /// Amortized cold-path scratch maintenance: once per
@@ -1140,21 +1136,49 @@ impl DaemonShard {
     /// decision kernel. Returns the total beats processed. Steady-state
     /// allocation-free: the scratch buffers and every runtime's planning
     /// buffer are reused in place.
+    pub fn run_quantum(&mut self) -> u64 {
+        self.sweep(|control, _, samples, lat_scratch| {
+            control.process_drained_batched(samples, lat_scratch)
+        })
+    }
+
+    /// The per-beat reference path: the same sweep as
+    /// [`DaemonShard::run_quantum`] — identical drains (idle-skip, drain
+    /// cap), containment and publication — but every beat steps the
+    /// runtime individually and `on_decision` sees every per-beat
+    /// decision (tests and diagnostics; the callback runs on the shard's
+    /// thread). The batched kernel is property-tested against this path.
+    pub fn run_quantum_with(
+        &mut self,
+        on_decision: &mut impl FnMut(AppId, IndexedDecision),
+    ) -> u64 {
+        self.sweep(|control, id, samples, _| control.process_drained(id, samples, on_decision))
+    }
+
+    /// The one sweep over the fleet, generic over the decision kernel
+    /// `step` runs on each non-empty drain.
     ///
-    /// **Fault containment.** The sweep over the fleet runs under a
-    /// `catch_unwind` guard — one guard per *sweep*, not per app, so at
-    /// fleet scale the landing-pad setup amortizes to nothing and the
-    /// only per-slot cost is keeping the sweep cursor current. A panic
-    /// (or a poisoned latency stream overflowing the rate window) blames
-    /// exactly one app — the cursor names the slot that was mid-step
-    /// when the guard tripped — that app is
-    /// [quarantined](DaemonShard::quarantine_reason) and the sweep
-    /// *resumes with its neighbor*, so every other app in the same
-    /// quantum keeps being served; their decision sequences are
+    /// **Fault containment.** The sweep runs under a `catch_unwind` guard
+    /// — one guard per *sweep*, not per app, so at fleet scale the
+    /// landing-pad setup amortizes to nothing and the only per-slot cost
+    /// is keeping the sweep cursor current. A panic (or a poisoned
+    /// latency stream overflowing the rate window) blames exactly one app
+    /// — the cursor names the slot that was mid-step when the guard
+    /// tripped — that app is [quarantined](DaemonShard::quarantine_reason)
+    /// and the sweep *resumes with its neighbor*, so every other app in
+    /// the same quantum keeps being served; their decision sequences are
     /// bit-identical to a no-fault run, because the faulty slot's step
     /// shares no control state with its neighbors (the scratch buffers
     /// are refilled per slot).
-    pub fn run_quantum(&mut self) -> u64 {
+    fn sweep(
+        &mut self,
+        mut step: impl FnMut(
+            &mut ControlState,
+            AppId,
+            &[BeatSample],
+            &mut Vec<powerdial_heartbeats::TimestampDelta>,
+        ) -> Result<u64, WindowOverflow>,
+    ) -> u64 {
         let DaemonShard {
             apps,
             scratch,
@@ -1174,24 +1198,25 @@ impl DaemonShard {
             // the outer frame still owns, so the values written before a
             // panic (processed counts, the cursor, `in_flight`) survive
             // the unwind and the culprit is `apps[idx]`.
-            let sweep = catch_unwind(AssertUnwindSafe(|| {
+            let guarded = catch_unwind(AssertUnwindSafe(|| {
                 while idx < apps.len() {
                     let slot = &mut apps[idx];
                     if slot.quarantined.is_some() {
                         idx += 1;
                         continue;
                     }
-                    // Idle-skip fast path — the `None` branch of
-                    // `drain_slot`, hoisted: pure slot-field arithmetic
+                    // Idle-skip: an app `idle_skip_limit` empty drains
+                    // deep is polled only when its countdown has run out
+                    // (and is then re-armed). Pure slot-field arithmetic
                     // that cannot panic, so a parked fleet pays no blame
                     // bookkeeping at all.
-                    if *idle_skip_limit > 0
-                        && slot.silent_streak >= *idle_skip_limit
-                        && slot.skip_countdown > 0
-                    {
-                        slot.skip_countdown -= 1;
-                        idx += 1;
-                        continue;
+                    if *idle_skip_limit > 0 && slot.silent_streak >= *idle_skip_limit {
+                        if slot.skip_countdown > 0 {
+                            slot.skip_countdown -= 1;
+                            idx += 1;
+                            continue;
+                        }
+                        slot.skip_countdown = *idle_skip_limit;
                     }
                     // From here a step can genuinely panic: record which
                     // slot, so an *escaped* panic (worker death) still
@@ -1202,18 +1227,22 @@ impl DaemonShard {
                         slot.panic_armed = false;
                         panic!("injected app panic (fault-injection hook)");
                     }
-                    if let Some(drained) =
-                        Self::drain_slot(slot, scratch, *idle_skip_limit, *drain_cap)
-                    {
-                        if drained > 0 {
-                            if let Some(telemetry) = &slot.telemetry {
-                                telemetry.prefetch();
-                            }
+                    let drained = Self::drain_slot(slot, scratch, *drain_cap);
+                    if drained > 0 {
+                        if let Some(telemetry) = &slot.telemetry {
+                            telemetry.prefetch();
                         }
-                        match slot.control.process_drained_batched(scratch, lat_scratch) {
+                        match step(&mut slot.control, slot.id, scratch, lat_scratch) {
                             Ok(processed) => {
-                                Self::publish_shm(slot, processed);
-                                Self::record_telemetry(slot, scratch, trace, processed);
+                                // Everything downstream of the kernel —
+                                // the segment's decision block, the trace
+                                // — serves the words *re-read* from the
+                                // shared atomics `DecisionView` serves, so
+                                // all three agree bit for bit by
+                                // construction.
+                                let decision = slot.control.shared.latest();
+                                Self::publish_shm(slot, decision);
+                                Self::record_telemetry(slot, scratch, trace, decision);
                                 peak = peak.max(drained);
                                 beats += processed;
                             }
@@ -1231,7 +1260,7 @@ impl DaemonShard {
                 }
                 *in_flight = None;
             }));
-            if sweep.is_err() {
+            if guarded.is_err() {
                 // The slot the cursor names panicked mid-step: contain
                 // the blast there and resume the sweep with its neighbor.
                 *in_flight = None;
@@ -1243,9 +1272,9 @@ impl DaemonShard {
         beats
     }
 
-    /// Hot-path telemetry tail of a processed drain: fold each observed
-    /// beat latency and the quantum's QoS loss into the slot's
-    /// histograms, and append one decision-trace record. Histogram
+    /// Hot-path telemetry tail of a processed (non-empty) drain: fold
+    /// each observed beat latency and the quantum's QoS loss into the
+    /// slot's histograms, and append one decision-trace record. Histogram
     /// records and the ring push are allocation-free (the `no_alloc`
     /// suites run with telemetry enabled); a disabled slot costs one
     /// `None` check.
@@ -1254,14 +1283,11 @@ impl DaemonShard {
         slot: &mut AppSlot,
         samples: &[BeatSample],
         trace: &mut DecisionTraceRing,
-        processed: u64,
+        decision: ShmDecision,
     ) {
         let Some(telemetry) = slot.telemetry.as_deref_mut() else {
             return;
         };
-        if processed == 0 {
-            return;
-        }
         // First-beat zero latency is a convention, not an observation
         // (the same tag-0 rule the control window applies).
         telemetry.beat_latency_ns.record_all(
@@ -1270,8 +1296,7 @@ impl DaemonShard {
                 .filter(|sample| sample.tag.value() != 0)
                 .map(|sample| sample.latency.as_nanos()),
         );
-        let shared = &slot.control.shared;
-        let qos_loss = f64::from_bits(shared.qos_loss_bits.load(Ordering::Acquire));
+        let qos_loss = decision.expected_qos_loss();
         let qos_ppm = if qos_loss.is_finite() && qos_loss > 0.0 {
             (qos_loss * QOS_PPM_SCALE) as u64
         } else {
@@ -1287,16 +1312,12 @@ impl DaemonShard {
         } else {
             TraceReason::Boundary
         };
-        trace.push(DecisionTraceRecord {
-            seq: 0,
-            timestamp: telemetry.last_beat,
-            app: slot.id.value(),
-            point_idx: shared.decision.load(Ordering::Acquire) as u32,
+        trace.push(trace_record(
+            slot.id.value(),
+            telemetry.last_beat,
             reason,
-            gain: f64::from_bits(shared.gain_bits.load(Ordering::Acquire)),
-            achieved_speedup: f64::from_bits(shared.achieved_speedup_bits.load(Ordering::Acquire)),
-            qos_loss,
-        });
+            decision,
+        ));
     }
 
     /// Clones this shard's telemetry (per-app histograms + trace) for a
@@ -1323,155 +1344,53 @@ impl DaemonShard {
 
     /// Re-publication of a processed quantum's decision through an shm
     /// app's segment (atomics only — the quantum loop stays
-    /// allocation-free). No-op for in-heap channels or empty drains.
-    fn publish_shm(slot: &AppSlot, processed: u64) {
-        if processed > 0 {
-            if let BeatSource::Shm(consumer) = &slot.consumer {
-                let shared = &slot.control.shared;
-                consumer.publish_decision(ShmDecision {
-                    point_idx: shared.decision.load(Ordering::Acquire) as u32,
-                    gain_bits: shared.gain_bits.load(Ordering::Acquire),
-                    achieved_speedup_bits: shared.achieved_speedup_bits.load(Ordering::Acquire),
-                    qos_loss_bits: shared.qos_loss_bits.load(Ordering::Acquire),
-                });
-                // Keep the segment's warm-start block current so a
-                // successor daemon resumes from this actuation if we die
-                // after this store.
-                // `publish_shm` only runs after a successfully processed
-                // batch, so the window cannot be in overflow here; treat
-                // the impossible case as "no rate yet".
-                let rate = slot
-                    .control
-                    .window
-                    .rate()
-                    .ok()
-                    .flatten()
-                    .map(|r| r.beats_per_second())
-                    .unwrap_or(0.0);
-                consumer.publish_warm_state(ShmWarmState {
-                    point_idx: shared.decision.load(Ordering::Acquire) as u32,
-                    speedup_bits: slot.control.runtime.controller().speedup().to_bits(),
-                    observed_rate_bits: rate.to_bits(),
-                    beat_in_quantum: u64::from(slot.control.runtime.beat_in_quantum()),
-                });
-            }
-        }
-    }
-
-    /// The per-beat reference path: identical drains (idle-skip, drain
-    /// cap) and identical decisions to [`DaemonShard::run_quantum`], but
-    /// every beat steps the runtime individually and `on_decision` sees
-    /// every per-beat decision (tests and diagnostics; the callback runs
-    /// on the shard's thread). The batched kernel is property-tested
-    /// against this path.
-    pub fn run_quantum_with(
-        &mut self,
-        on_decision: &mut impl FnMut(AppId, IndexedDecision),
-    ) -> u64 {
-        let DaemonShard {
-            apps,
-            scratch,
-            lat_scratch: _,
-            idle_skip_limit,
-            drain_cap,
-            trace,
-            safe_point,
-            in_flight,
-            ..
-        } = self;
-        let mut beats = 0;
-        let mut peak = 0usize;
-        for slot in apps.iter_mut() {
-            if slot.quarantined.is_some() {
-                continue;
-            }
-            *in_flight = Some(slot.id.value());
-            let step = catch_unwind(AssertUnwindSafe(
-                || -> Result<Option<(usize, u64)>, WindowOverflow> {
-                    if slot.panic_armed {
-                        slot.panic_armed = false;
-                        panic!("injected app panic (fault-injection hook)");
-                    }
-                    let Some(drained) =
-                        Self::drain_slot(slot, scratch, *idle_skip_limit, *drain_cap)
-                    else {
-                        return Ok(None);
-                    };
-                    if drained > 0 {
-                        if let Some(telemetry) = &slot.telemetry {
-                            telemetry.prefetch();
-                        }
-                    }
-                    let processed = slot
-                        .control
-                        .process_drained(slot.id, scratch, on_decision)?;
-                    // Cross-process apps read decisions back through the
-                    // segment's seqlock-protected decision block. Publish by
-                    // *re-reading* the bits `process_drained` just stored
-                    // into the shared atomics — the same words
-                    // `DecisionView` serves — so a decision seen via shm is
-                    // bit-identical to the in-process view by construction.
-                    Self::publish_shm(slot, processed);
-                    Self::record_telemetry(slot, scratch, trace, processed);
-                    Ok(Some((drained, processed)))
-                },
-            ));
-            *in_flight = None;
-            match step {
-                Ok(Ok(None)) => {}
-                Ok(Ok(Some((drained, processed)))) => {
-                    peak = peak.max(drained);
-                    beats += processed;
-                }
-                Ok(Err(WindowOverflow)) => {
-                    Self::quarantine_slot(
-                        slot,
-                        *safe_point,
-                        trace,
-                        QuarantineReason::WindowOverflow,
-                    );
-                }
-                Err(_panic) => {
-                    Self::quarantine_slot(slot, *safe_point, trace, QuarantineReason::Panic);
-                }
-            }
-        }
-        self.maintain_scratch(peak);
-        beats
+    /// allocation-free). No-op for in-heap channels.
+    fn publish_shm(slot: &AppSlot, decision: ShmDecision) {
+        let BeatSource::Shm(consumer) = &slot.consumer else {
+            return;
+        };
+        consumer.publish_decision(decision);
+        // Keep the segment's warm-start block current so a successor
+        // daemon resumes from this actuation if we die after this store.
+        // `publish_shm` only runs after a successfully processed batch,
+        // so the window cannot be in overflow here; treat the impossible
+        // case as "no rate yet".
+        let rate = slot
+            .control
+            .window
+            .rate()
+            .ok()
+            .flatten()
+            .map(|r| r.beats_per_second())
+            .unwrap_or(0.0);
+        consumer.publish_warm_state(ShmWarmState {
+            point_idx: decision.point_idx,
+            speedup_bits: slot.control.runtime.controller().speedup().to_bits(),
+            observed_rate_bits: rate.to_bits(),
+            beat_in_quantum: u64::from(slot.control.runtime.beat_in_quantum()),
+        });
     }
 
     /// The planned per-beat knob indices of `id`'s current quantum (empty
     /// before its first beat), for equivalence tests.
     pub fn planned_beat_indices(&self, id: AppId) -> Option<&[PointIdx]> {
-        self.apps
-            .iter()
-            .find(|slot| slot.id == id)
+        self.slot(id)
             .map(|slot| slot.control.runtime.planned_beat_indices())
     }
 
     /// Number of quanta `id`'s runtime has planned so far.
     pub fn quanta_planned(&self, id: AppId) -> Option<u64> {
-        self.apps
-            .iter()
-            .find(|slot| slot.id == id)
+        self.slot(id)
             .map(|slot| slot.control.runtime.quanta_planned())
     }
 }
 
-/// Commands sent from the daemon façade to a worker thread. Every command
-/// except `Shutdown` is acknowledged on the worker's ack channel.
+/// Commands sent from the daemon façade to a worker thread — only what
+/// needs the thread; everything else the façade does under the shard lock
+/// itself (see the module docs).
 enum Command {
-    Register(Box<AppSlot>),
-    Unregister(AppId),
-    /// Reset an app's idle-skip state so the next tick polls it.
-    Wake(AppId),
-    /// Send the shard's telemetry back on the provided channel (the ack
-    /// still follows, as for every command).
-    Telemetry(mpsc::Sender<ShardTelemetry>),
+    /// Run one quantum on the shard; acknowledged with the beat count.
     Tick,
-    /// Arm the explicit fault-injection hook: `id`'s next processing step
-    /// panics inside the containment guard (test-only by convention).
-    ArmPanic(AppId),
     /// Panic the worker thread itself, simulating a shard death whose
     /// panic escaped containment (test-only by convention). Never
     /// acknowledged — the sender observes the death on the ack channel.
@@ -1485,15 +1404,15 @@ struct Worker {
     commands: mpsc::Sender<Command>,
     acks: mpsc::Receiver<u64>,
     thread: Option<JoinHandle<()>>,
-    /// The worker's shard. In steady state only the worker thread touches
-    /// it (one uncontended lock per command); the façade's clone exists so
-    /// that when the thread dies, [`PowerDialDaemon::respawn_dead`] can
-    /// recover the surviving apps' live state and migrate them onto a
-    /// fresh worker instead of orphaning them.
+    /// The worker's shard. The worker thread locks it for the length of
+    /// one quantum per `Tick`; between ticks the façade locks it for
+    /// every other operation ([`PowerDialDaemon::with_shard`]), and after
+    /// the thread dies [`PowerDialDaemon::respawn_dead`] takes the
+    /// surviving apps' live state out of it.
     shard: Arc<Mutex<DaemonShard>>,
     /// Set when a send or receive on the worker's channels fails — the
-    /// thread panicked and is gone. A dead worker is never commanded
-    /// again; its apps stay parked on the dead shard until
+    /// thread panicked and is gone. A dead worker is never ticked again;
+    /// its apps stay parked on the dead shard until
     /// [`PowerDialDaemon::respawn_dead`] migrates them, and the rest of
     /// the daemon keeps going.
     dead: bool,
@@ -1564,7 +1483,7 @@ pub struct PowerDialDaemon {
     /// Reused buffer for the reaper's wake pass (dead producer, beats
     /// still pending, slot possibly idle-skipped): `(app, worker)` pairs
     /// whose skip state must be cleared so the next tick drains them.
-    wake_scratch: Vec<(AppId, usize)>,
+    wake_scratch: Vec<(AppId, Option<usize>)>,
     /// Worker threads found dead so far (lifetime count; monotonic).
     shard_deaths: u64,
     /// Dead workers respawned by [`PowerDialDaemon::respawn_dead`].
@@ -1575,15 +1494,15 @@ pub struct PowerDialDaemon {
 
 /// Facade-side record of one registered app: which shard owns it, plus —
 /// for shm-backed apps — a probe of its segment, kept here so the reaper
-/// can check peer liveness without a round-trip to the owning worker.
+/// can check peer liveness without taking the owning shard's lock.
 #[derive(Debug)]
 struct Placement {
-    /// Owning worker index (`usize::MAX` = inline shard).
-    worker: usize,
+    /// Owning worker index (`None` = inline shard).
+    worker: Option<usize>,
     /// Segment probe for shm-backed apps; `None` for in-heap channels.
     probe: Option<ShmPeerProbe>,
     /// The app's shared decision state, mirrored here so the façade can
-    /// observe quarantine without a round-trip to the owning worker (the
+    /// observe quarantine without taking the owning shard's lock (the
     /// reaper and the incident counters both read it).
     shared: Arc<AppShared>,
 }
@@ -1616,16 +1535,7 @@ impl PowerDialDaemon {
         Ok(PowerDialDaemon {
             config,
             workers,
-            inline_shard: DaemonShard::with_telemetry(
-                config.idle_skip_limit,
-                config.drain_cap,
-                if config.telemetry {
-                    config.trace_capacity
-                } else {
-                    0
-                },
-            )
-            .with_safe_point(config.safe_point),
+            inline_shard: DaemonShard::from_config(&config),
             placements: HashMap::new(),
             next_id: 0,
             next_worker: 0,
@@ -1641,25 +1551,14 @@ impl PowerDialDaemon {
     }
 
     /// Builds one worker: its shard (shared with the façade through an
-    /// `Arc<Mutex>` for post-mortem recovery), channels, and thread. Used
+    /// `Arc<Mutex>`), channels, and thread. Used
     /// both at construction and by [`PowerDialDaemon::respawn_dead`];
     /// spawn failure is fatal at construction but survivable during
     /// resurrection (the recovered apps fall back to the inline shard).
     fn spawn_worker(index: usize, config: &DaemonConfig) -> std::io::Result<Worker> {
         let (command_tx, command_rx) = mpsc::channel::<Command>();
         let (ack_tx, ack_rx) = mpsc::channel::<u64>();
-        let shard = Arc::new(Mutex::new(
-            DaemonShard::with_telemetry(
-                config.idle_skip_limit,
-                config.drain_cap,
-                if config.telemetry {
-                    config.trace_capacity
-                } else {
-                    0
-                },
-            )
-            .with_safe_point(config.safe_point),
-        ));
+        let shard = Arc::new(Mutex::new(DaemonShard::from_config(config)));
         let thread_shard = Arc::clone(&shard);
         let thread = std::thread::Builder::new()
             .name(format!("powerdial-shard-{index}"))
@@ -1702,9 +1601,8 @@ impl PowerDialDaemon {
             None,
         )?;
         Ok(AppHandle {
-            id,
+            view: DecisionView { id, shared },
             producer,
-            shared,
             next_tag: HeartbeatTag::default(),
             last_timestamp: None,
         })
@@ -1802,17 +1700,7 @@ impl PowerDialDaemon {
         if matches!(probe.read_decision(), DecisionRead::Torn) {
             match warm {
                 Some(w) => {
-                    let speedup = table.speedup_of(PointIdx::new(w.point_idx));
-                    consumer.publish_decision(ShmDecision {
-                        point_idx: w.point_idx,
-                        gain_bits: speedup.to_bits(),
-                        achieved_speedup_bits: speedup.to_bits(),
-                        qos_loss_bits: table
-                            .point(PointIdx::new(w.point_idx))
-                            .qos_loss
-                            .value()
-                            .to_bits(),
-                    });
+                    consumer.publish_decision(table_decision(&table, PointIdx::new(w.point_idx)))
                 }
                 None => consumer.reset_decision(),
             }
@@ -1858,19 +1746,8 @@ impl PowerDialDaemon {
             }
         }
         let shared = Arc::new(AppShared::default());
-        let mut decisions = 0u64;
-        if let Some(d) = seed {
-            shared.gain_bits.store(d.gain_bits, Ordering::Release);
-            shared
-                .achieved_speedup_bits
-                .store(d.achieved_speedup_bits, Ordering::Release);
-            shared
-                .qos_loss_bits
-                .store(d.qos_loss_bits, Ordering::Release);
-            shared
-                .decision
-                .store((1u64 << 32) | u64::from(d.point_idx), Ordering::Release);
-            decisions = 1;
+        if let Some(decision) = seed {
+            shared.publish(decision);
         }
         let id = AppId(self.next_id);
         self.next_id += 1;
@@ -1881,7 +1758,6 @@ impl PowerDialDaemon {
                 runtime,
                 window: SlidingWindow::new(self.config.window_size),
                 shared: Arc::clone(&shared),
-                decisions,
                 seed_rate,
             },
             // Fresh slots always start with cleared idle-skip bookkeeping
@@ -1897,38 +1773,11 @@ impl PowerDialDaemon {
             quarantined: None,
             panic_armed: false,
         };
-        let worker = match self.pick_worker() {
-            None => {
-                self.inline_shard.push_slot(slot);
-                usize::MAX
-            }
-            Some(index) => {
-                match self.workers[index]
-                    .commands
-                    .send(Command::Register(Box::new(slot)))
-                {
-                    Err(mpsc::SendError(Command::Register(slot))) => {
-                        // The worker died between the liveness check and the
-                        // send: the slot came back, fall back to inline.
-                        self.mark_dead(index);
-                        self.inline_shard.push_slot(*slot);
-                        usize::MAX
-                    }
-                    Err(_) => unreachable!("a failed send returns the sent command"),
-                    Ok(()) => {
-                        if self.workers[index].acks.recv().is_err() {
-                            // Died holding the slot; the app stays parked
-                            // on the dead shard until `respawn_dead`
-                            // migrates it (same degraded contract as a
-                            // death mid-quantum).
-                            self.mark_dead(index);
-                        }
-                        self.workers[index].apps += 1;
-                        index
-                    }
-                }
-            }
-        };
+        let worker = self.pick_worker();
+        self.with_shard(worker, |shard| shard.push_slot(slot));
+        if let Some(index) = worker {
+            self.workers[index].apps += 1;
+        }
         self.placements.insert(
             id.0,
             Placement {
@@ -1972,22 +1821,18 @@ impl PowerDialDaemon {
     /// are discarded; the application's handle keeps working but nothing
     /// drains its channel any more (pushes eventually see backpressure).
     /// For shm apps the consumer (and with it this process's mapping) is
-    /// dropped. Returns `false` if `id` was never registered or already
-    /// removed.
+    /// dropped. Works the same on a dead worker's shard (the slot is
+    /// evicted and an shm segment reset at once, not at the next respawn).
+    /// Returns `false` if `id` was never registered or already removed.
     pub fn unregister(&mut self, id: AppId) -> bool {
-        match self.placements.remove(&id.0) {
-            Some(Placement {
-                worker: usize::MAX, ..
-            }) => self.inline_shard.remove(id),
-            Some(Placement { worker, .. }) => {
-                let removed = self.command(worker, Command::Unregister(id)) == Some(1);
-                if removed {
-                    self.workers[worker].apps -= 1;
-                }
-                removed
-            }
-            None => false,
+        let Some(placement) = self.placements.remove(&id.0) else {
+            return false;
+        };
+        let removed = self.with_shard(placement.worker, |shard| shard.remove(id));
+        if let (true, Some(worker)) = (removed, placement.worker) {
+            self.workers[worker].apps -= 1;
         }
+        removed
     }
 
     /// Reaps abandoned shared-memory applications: every shm-registered
@@ -2038,11 +1883,7 @@ impl PowerDialDaemon {
         }
         for index in 0..self.wake_scratch.len() {
             let (id, worker) = self.wake_scratch[index];
-            if worker == usize::MAX {
-                self.inline_shard.wake(id);
-            } else {
-                self.command(worker, Command::Wake(id));
-            }
+            self.with_shard(worker, |shard| shard.wake(id));
         }
         if self.reap_scratch.is_empty() {
             return Vec::new();
@@ -2140,42 +1981,20 @@ impl PowerDialDaemon {
     /// and the merged decision trace. Render it with
     /// [`TelemetrySnapshot::to_json`].
     ///
-    /// Cold path by design: the walk runs between quanta (worker shards
-    /// answer a `Telemetry` command from their command loop, the inline
-    /// shard is read directly), clones histogram state rather than
-    /// draining it, and is the one telemetry operation allowed to
-    /// allocate. Dead workers are skipped — their apps' metrics are
-    /// absent from the snapshot, matching the daemon's degraded-shard
-    /// contract. With [`DaemonConfig::telemetry`] off the snapshot is
-    /// empty (no apps, no trace).
+    /// Cold path by design: the walk runs between quanta (each worker's
+    /// shard is read under its lock, the inline shard directly), clones
+    /// histogram state rather than draining it, and is the one telemetry
+    /// operation allowed to allocate. A dead worker's shard outlives its
+    /// thread, so its apps stay in the snapshot until
+    /// [`PowerDialDaemon::respawn_dead`] migrates them. With
+    /// [`DaemonConfig::telemetry`] off the snapshot is empty (no apps, no
+    /// trace).
     pub fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
         let mut shards = Vec::with_capacity(self.workers.len() + 1);
         shards.push(self.inline_shard.telemetry());
         for index in 0..self.workers.len() {
-            if self.workers[index].apps == 0 {
-                continue;
-            }
-            if self.workers[index].dead {
-                // The worker can't answer a command, but its shard
-                // outlives it: read the telemetry post-mortem through the
-                // façade's handle (the corpse's apps stay visible until
-                // `respawn_dead` migrates them).
-                let guard = self.workers[index]
-                    .shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                shards.push(guard.telemetry());
-                continue;
-            }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if self.command(index, Command::Telemetry(reply_tx)).is_none() {
-                continue;
-            }
-            // The ack arrived, so the worker's send preceded it; a recv
-            // failure here means the receiver outlived a poisoned send
-            // and the shard contributed nothing.
-            if let Ok(shard) = reply_rx.try_recv() {
-                shards.push(shard);
+            if self.workers[index].apps > 0 {
+                shards.push(self.with_shard(Some(index), |shard| shard.telemetry()));
             }
         }
         TelemetrySnapshot::from_shards(self.ticks, self.total_beats, shards, self.incident_counts())
@@ -2194,8 +2013,7 @@ impl PowerDialDaemon {
 
     /// Resurrects every dead worker: joins the corpse, recovers its shard
     /// post-mortem, blames (quarantines) the app whose step was in flight
-    /// when the thread died, reconciles the shard's slots against the
-    /// façade's placements, and migrates the surviving apps — *live*
+    /// when the thread died, and migrates the surviving apps — *live*
     /// control state, not a warm-start rebuild — onto a freshly spawned
     /// thread at the same worker index, so every placement stays valid.
     /// Returns the number of shards respawned.
@@ -2224,74 +2042,20 @@ impl PowerDialDaemon {
     /// Returns `true` when a replacement thread now serves the shard's
     /// surviving apps at the same index.
     fn respawn_worker(&mut self, index: usize) -> bool {
-        // Join the corpse first: afterwards no other thread can hold a
-        // clone of the shard handle, so the unwrap below cannot race.
+        // Join the corpse first, so its last writes to the shard are
+        // visible; then take the shard out from under the lock. An
+        // injected `Crash` panics while holding it, so the mutex is
+        // typically poisoned — the state under it is exactly what the dead
+        // worker last saw, and recovery wants it.
         if let Some(thread) = self.workers[index].thread.take() {
             let _ = thread.join();
         }
-        let placeholder = Arc::new(Mutex::new(DaemonShard::new()));
-        let old_arc = std::mem::replace(&mut self.workers[index].shard, placeholder);
-        let mut shard = match Arc::try_unwrap(old_arc) {
-            // An injected `Crash` panics while holding the lock, so the
-            // mutex is typically poisoned — the state under it is exactly
-            // what the dead worker last saw, and recovery wants it.
-            Ok(mutex) => mutex
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            Err(arc) => {
-                // Unreachable after the join; put the handle back and
-                // leave the worker parked rather than lose its apps.
-                self.workers[index].shard = arc;
-                return false;
-            }
-        };
-        // Blame exactly one app: the step that was executing when the
-        // thread died. Contained faults never reach this path (the
-        // quantum loop clears `in_flight` after each guard); only a panic
-        // that escaped containment — e.g. an injected worker crash —
-        // leaves it set.
-        if let Some(blamed) = shard.in_flight.take() {
-            let DaemonShard {
-                apps,
-                trace,
-                safe_point,
-                ..
-            } = &mut shard;
-            if let Some(slot) = apps.iter_mut().find(|slot| slot.id.value() == blamed) {
-                if slot.quarantined.is_none() {
-                    DaemonShard::quarantine_slot(slot, *safe_point, trace, QuarantineReason::Panic);
-                }
-            }
-        }
-        // Reconcile both directions. Apps unregistered while the worker
-        // was dead lost their placement but kept their slot: evict them
-        // now (resetting their segments, as a live unregister would).
-        let stale: Vec<AppId> = shard
-            .apps
-            .iter()
-            .map(|slot| slot.id)
-            .filter(|id| !self.placements.contains_key(&id.value()))
-            .collect();
-        for id in stale {
-            shard.remove(id);
-        }
-        // Apps registered toward the dead worker whose `Register` command
-        // died in the channel never reached the shard: their slot (and
-        // channel) is gone, so the registration is void.
-        self.placements
-            .retain(|id, placement| placement.worker != index || shard.contains(AppId(*id)));
+        let mut shard = self.with_shard(Some(index), std::mem::take);
+        shard.blame_in_flight();
         // Incident trace: the death, the respawn, and one record per
-        // migrated app (records materialize when the shard is recovered,
-        // which is also the only point the façade can touch its trace).
-        let incident = |reason: TraceReason, app: u64| DecisionTraceRecord {
-            seq: 0,
-            timestamp: Timestamp::from_nanos(0),
-            app,
-            point_idx: 0,
-            reason,
-            gain: 0.0,
-            achieved_speedup: 0.0,
-            qos_loss: 0.0,
+        // migrated app (records materialize when the shard is recovered).
+        let incident = |reason: TraceReason, app: u64| {
+            trace_record(app, Timestamp::from_nanos(0), reason, NO_DECISION)
         };
         shard
             .trace
@@ -2308,17 +2072,13 @@ impl PowerDialDaemon {
                         trace.push(incident(TraceReason::Migrated, slot.id.value()));
                     }
                 }
-                let old = std::mem::replace(&mut self.workers[index], replacement);
-                drop(old);
+                self.workers[index] = replacement;
                 // Move the recovered shard — apps, trace, scratch — into
                 // the replacement wholesale: migration preserves live
                 // controller state bit-for-bit, which is strictly stronger
                 // than the warm-start block a cross-process successor
                 // would rebuild from.
-                *self.workers[index]
-                    .shard
-                    .lock()
-                    .expect("fresh shard mutex cannot be poisoned") = shard;
+                self.with_shard(Some(index), |fresh| *fresh = shard);
                 self.workers[index].apps = survivors as usize;
                 self.shard_respawns += 1;
                 self.apps_migrated += survivors;
@@ -2332,7 +2092,7 @@ impl PowerDialDaemon {
                 }
                 for slot in shard.apps.drain(..) {
                     if let Some(placement) = self.placements.get_mut(&slot.id.value()) {
-                        placement.worker = usize::MAX;
+                        placement.worker = None;
                     }
                     self.inline_shard
                         .trace
@@ -2348,13 +2108,11 @@ impl PowerDialDaemon {
 
     /// Fault-injection hook (test-only by convention): arms `id` so its
     /// next processing step panics *inside* the per-app containment
-    /// guard. Returns `false` for an unknown app or one parked on a dead
-    /// shard.
+    /// guard. Returns `false` for an unknown app.
     pub fn inject_app_panic(&mut self, id: AppId) -> bool {
         match self.placements.get(&id.0).map(|placement| placement.worker) {
             None => false,
-            Some(usize::MAX) => self.inline_shard.arm_panic(id),
-            Some(worker) => self.command(worker, Command::ArmPanic(id)) == Some(1),
+            Some(worker) => self.with_shard(worker, |shard| shard.arm_panic(id)),
         }
     }
 
@@ -2366,9 +2124,12 @@ impl PowerDialDaemon {
         if worker >= self.workers.len() || self.workers[worker].dead {
             return false;
         }
-        // `Crash` is never acknowledged: `command` observes the death on
-        // the ack channel and marks the worker dead.
-        let _ = self.command(worker, Command::Crash);
+        // `Crash` is never acknowledged: the death shows as a hung-up ack
+        // channel (or a failed send, had the thread already gone).
+        let target = &self.workers[worker];
+        if target.commands.send(Command::Crash).is_err() || target.acks.recv().is_err() {
+            self.mark_dead(worker);
+        }
         self.workers[worker].dead
     }
 
@@ -2432,23 +2193,20 @@ impl PowerDialDaemon {
         }
     }
 
-    /// Sends a command to a worker and waits for its acknowledgement.
-    /// `None` when the worker is (or is discovered to be) dead — the
-    /// command had no effect.
-    fn command(&mut self, worker: usize, command: Command) -> Option<u64> {
-        if self.workers[worker].dead {
-            return None;
-        }
-        if self.workers[worker].commands.send(command).is_err() {
-            self.mark_dead(worker);
-            return None;
-        }
-        match self.workers[worker].acks.recv() {
-            Ok(ack) => Some(ack),
-            Err(_) => {
-                self.mark_dead(worker);
-                None
-            }
+    /// The one way into a shard outside a tick: runs `f` on the shard
+    /// that owns placement `worker` — the inline shard directly, a
+    /// worker's under its lock. The façade is `&mut self` and a tick
+    /// collects every ack before returning, so the lock is never
+    /// contended here; a dead worker's lock is poisoned (it died holding
+    /// it) and is recovered, the state under it being what the worker
+    /// last saw (`in_flight` names the slot it died stepping, if any).
+    fn with_shard<R>(&mut self, worker: Option<usize>, f: impl FnOnce(&mut DaemonShard) -> R) -> R {
+        match worker {
+            None => f(&mut self.inline_shard),
+            Some(index) => f(&mut self.workers[index]
+                .shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)),
         }
     }
 }
@@ -2467,47 +2225,30 @@ impl Drop for PowerDialDaemon {
     }
 }
 
-/// Worker thread body: obey commands against the shared shard (one
-/// uncontended lock per command — the façade only contends for it during
-/// post-mortem recovery, when this thread is already gone), acknowledging
-/// each one.
+/// Worker thread body: run one quantum per `Tick` under the shard lock
+/// (uncontended — the façade only takes it between ticks) and acknowledge
+/// with the beat count.
 fn worker_main(
     shard: Arc<Mutex<DaemonShard>>,
     commands: mpsc::Receiver<Command>,
     acks: mpsc::Sender<u64>,
 ) {
     while let Ok(command) = commands.recv() {
-        // A poisoned mutex here would mean a previous command's panic
-        // escaped — unreachable today (the quantum loop contains panics
-        // and a `Crash` kills the thread for good), but recovering the
-        // guard is the conservative choice either way.
-        let mut guard = shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ack = match command {
-            Command::Register(slot) => {
-                guard.push_slot(*slot);
-                0
-            }
-            Command::Unregister(id) => u64::from(guard.remove(id)),
-            Command::Wake(id) => u64::from(guard.wake(id)),
-            Command::Telemetry(reply) => {
-                // A dropped receiver just means the façade gave up on
-                // the snapshot; the ack below keeps the protocol in
-                // lockstep either way.
-                let _ = reply.send(guard.telemetry());
-                0
-            }
+        // A poisoned mutex here would mean a previous quantum's panic
+        // escaped — unreachable today (the sweep contains panics and a
+        // `Crash` kills the thread for good), but recovering the guard is
+        // the conservative choice either way.
+        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let beats = match command {
             Command::Tick => guard.run_quantum(),
-            Command::ArmPanic(id) => u64::from(guard.arm_panic(id)),
-            // Deliberately panics while *holding the lock*: the façade's
-            // resurrection path must cope with a poisoned shard mutex,
-            // the worst-case a real escaped panic would leave behind.
+            // Deliberately panics while *holding the lock*: the façade
+            // must cope with a poisoned shard mutex, the worst case a
+            // real escaped panic would leave behind.
             Command::Crash => panic!("injected worker crash (fault-injection hook)"),
             Command::Shutdown => break,
         };
         drop(guard);
-        if acks.send(ack).is_err() {
+        if acks.send(beats).is_err() {
             break;
         }
     }
@@ -2730,7 +2471,6 @@ pub mod naive {
                     runtime,
                     window: SlidingWindow::new(self.config.window_size),
                     shared: Arc::clone(&shared),
-                    decisions: 0,
                     seed_rate: None,
                 },
             });
@@ -3516,6 +3256,43 @@ mod tests {
             std::mem::forget(producer);
             segment.header().producer_pid.store(0, Ordering::Release);
             segment.header().producer_nonce.store(0, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn publication_counts_from_the_seed_and_skips_zero_on_the_wrap() {
+        let decision = |point_idx: u32| ShmDecision {
+            point_idx,
+            gain_bits: 2.0f64.to_bits(),
+            achieved_speedup_bits: 1.5f64.to_bits(),
+            qos_loss_bits: 0.02f64.to_bits(),
+        };
+        let count = |shared: &AppShared| shared.decision.load(Ordering::Acquire) >> 32;
+
+        // An adoption seed is just the first publication into a fresh
+        // block: present at once, and the first live quantum counts on
+        // from it.
+        let shared = AppShared::default();
+        assert_eq!(shared.latest_point(), None);
+        assert_eq!(shared.latest(), NO_DECISION);
+        shared.publish(decision(2));
+        assert_eq!(count(&shared), 1);
+        assert_eq!(shared.latest_point(), Some(PointIdx::new(2)));
+        assert_eq!(shared.latest(), decision(2));
+        shared.publish(decision(1));
+        assert_eq!(count(&shared), 2);
+
+        // Across the 2^32 wrap the count skips the masked value 0, which
+        // would read as "no decision yet".
+        shared
+            .decision
+            .store(0xFFFF_FFFE_u64 << 32 | 1, Ordering::Release);
+        for (point, expected) in [(0, 0xFFFF_FFFF_u64), (2, 1), (1, 2)] {
+            shared.publish(decision(point));
+            assert_eq!(count(&shared), expected);
+            assert_eq!(shared.latest_point(), Some(PointIdx::new(point)));
+            assert_eq!(shared.latest_gain(), Some(2.0));
+            assert_eq!(shared.latest(), decision(point));
         }
     }
 }

@@ -33,9 +33,13 @@
 //!   allocation, no syscalls, so instrumentation cannot perturb the
 //!   application being controlled (the framework's founding constraint).
 //! * **Sharding** — registered apps are distributed round-robin over worker
-//!   threads; each worker owns its apps exclusively (a [`DaemonShard`]), so
-//!   workers share no mutable state and need no synchronization with each
-//!   other.
+//!   threads; each worker's apps live in one [`DaemonShard`] behind a lock
+//!   that is never contended: the worker thread holds it only while it
+//!   runs a quantum (`Tick` — with the `Crash` injection and `Shutdown`
+//!   the only messages a worker is ever sent), and the daemon façade
+//!   takes it between ticks for everything else (register, unregister,
+//!   wake, telemetry), whether the worker is alive or dead. Workers share
+//!   no mutable state and need no synchronization with each other.
 //! * **Batched actuation** — once per actuation quantum
 //!   ([`PowerDialDaemon::tick`]) each shard drains every channel in one
 //!   batch into a reused scratch buffer and steps the O(1)

@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use powerdial_heartbeats::shm::process::{fork_child, ChildExit, ForkedChild};
-use powerdial_heartbeats::shm::ShmError;
+use powerdial_heartbeats::shm::{jittered_backoff, ShmError};
 use powerdial_knobs::KnobTable;
 
 use crate::broker::{AttachBroker, AttachRequest, BrokerConfig};
@@ -144,9 +144,10 @@ impl Supervisor {
     /// [`SupervisorConfig::restart_backoff`] is non-zero, the supervisor
     /// sleeps a deterministically jittered backoff that doubles with each
     /// consecutive restart, capped at
-    /// [`SupervisorConfig::restart_backoff_cap`]. The jitter reuses the
-    /// client's splitmix64 mix over the process identity and the streak
-    /// index, so the delay schedule is replayable yet two supervisors
+    /// [`SupervisorConfig::restart_backoff_cap`]. The jitter is the
+    /// client's ([`jittered_backoff`]: a splitmix64 mix over the process
+    /// identity and the streak index), so the delay schedule is
+    /// replayable yet two supervisors
     /// restarting off the same incident desynchronize. Call
     /// [`note_healthy`](Supervisor::note_healthy) after observing real
     /// service to reset the streak.
@@ -178,7 +179,7 @@ impl Supervisor {
         let capped = base
             .saturating_mul(factor)
             .min(self.config.restart_backoff_cap.max(base));
-        jittered(capped, self.crash_streak)
+        jittered_backoff(capped, self.crash_streak)
     }
 
     /// Resets the crash-loop streak — call after the incarnation has
@@ -228,33 +229,6 @@ impl Drop for Supervisor {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Deterministic jitter in permille of a backoff interval (0..=250), the
-/// same splitmix64 mix the client uses for its attach retries: PID plus
-/// kernel start-time nonce plus the attempt index, avalanched. The
-/// supervisor cannot depend on the client crate (the dependency points
-/// the other way), so the mix is replicated here; the
-/// `jitter_is_deterministic_and_bounded` tests on both sides pin the
-/// shared contract.
-fn jitter_permille(attempt: u32) -> u128 {
-    use powerdial_heartbeats::shm::{current_pid, process_start_nonce};
-    let pid = current_pid();
-    let mut x = (u64::from(pid) << 32)
-        ^ process_start_nonce(pid).unwrap_or(0)
-        ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    u128::from(x % 251)
-}
-
-/// `base` stretched by this process's jitter for the given attempt.
-fn jittered(base: Duration, attempt: u32) -> Duration {
-    let extra = base.as_nanos().saturating_mul(jitter_permille(attempt)) / 1000;
-    base + Duration::from_nanos(extra.min(u128::from(u64::MAX)) as u64)
 }
 
 /// The child's entire life: bind, serve attaches (fresh and reattach),
@@ -363,19 +337,6 @@ mod tests {
     fn within_jitter(actual: Duration, base_ms: u64) -> bool {
         let base = Duration::from_millis(base_ms);
         actual >= base && actual <= base + base / 4
-    }
-
-    // Pins the contract shared with the client's attach-retry jitter
-    // (see `jitter_is_deterministic_and_bounded` in the client crate).
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        for attempt in 0..64 {
-            let permille = jitter_permille(attempt);
-            assert!(permille <= 250, "attempt {attempt}: {permille} > 250");
-            assert_eq!(permille, jitter_permille(attempt), "must be replayable");
-        }
-        let base = Duration::from_millis(100);
-        assert!(within_jitter(jittered(base, 3), 100));
     }
 
     #[test]

@@ -102,12 +102,33 @@ fn dead_worker_degrades_its_shard_and_spares_the_rest() {
         "the dead shard's app is parked"
     );
     assert!(healthy.latest_gain().is_some());
+}
 
-    // Unregistering the orphan reports failure (the owning shard cannot
-    // confirm) but the daemon forgets the placement either way.
-    let before = daemon.app_count();
-    assert!(!daemon.unregister(orphan.id()));
-    assert_eq!(daemon.app_count(), before - 1);
+/// Regression: `unregister` used to go through the dead worker's command
+/// channel, so for an app parked on a corpse it dropped the placement,
+/// reported `false` ("never registered") and left the slot — and an shm
+/// app's decision/warm blocks — in place until the next respawn. The
+/// façade now evicts under the shard lock, dead worker or not.
+#[test]
+fn unregister_on_a_dead_worker_evicts_at_once() {
+    let mut daemon = two_worker_daemon();
+    let orphan = daemon.register(runtime_config(), test_table()).unwrap();
+    let _healthy = daemon.register(runtime_config(), test_table()).unwrap();
+    assert!(daemon.inject_worker_panic(0));
+
+    assert!(
+        daemon.unregister(orphan.id()),
+        "the corpse's slot is evicted"
+    );
+    assert_eq!(daemon.app_count(), 1);
+    assert!(!daemon.unregister(orphan.id()), "already gone");
+
+    // The dead shard is empty: resurrection has nothing to migrate and
+    // nothing stale to reconcile.
+    assert_eq!(daemon.respawn_dead(), 1);
+    assert_eq!(daemon.apps_migrated(), 0);
+    assert_eq!(daemon.live_workers(), 2);
+    assert_eq!(daemon.app_count(), 1);
 }
 
 #[test]

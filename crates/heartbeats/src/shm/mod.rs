@@ -200,7 +200,9 @@ pub use layout::{
     WarmRead, DECISION_READ_RETRIES, DEFAULT_SLOT_STRIDE, SEGMENT_ABI_VERSION, SEGMENT_HEADER_LEN,
     SEGMENT_MAGIC,
 };
-pub use segment::{current_pid, pid_alive, process_start_nonce, BackingKind, Segment};
+pub use segment::{
+    current_pid, jittered_backoff, pid_alive, process_start_nonce, BackingKind, Segment,
+};
 pub use transport::{ShmConsumer, ShmPeerProbe, ShmProducer};
 
 #[cfg(target_os = "linux")]

@@ -178,6 +178,33 @@ pub fn process_start_nonce(pid: u32) -> Option<u64> {
     }
 }
 
+/// Deterministic per-process jitter in permille of a backoff interval
+/// (0..=250, i.e. up to a 25% stretch), mixed from the process identity
+/// (PID plus its kernel start-time nonce) and the attempt index — no RNG
+/// dependency, yet processes orphaned by the same crash desynchronize
+/// their retry storms instead of hammering the restarted peer in phase.
+fn jitter_permille(attempt: u32) -> u128 {
+    let pid = current_pid();
+    let mut x = (u64::from(pid) << 32)
+        ^ process_start_nonce(pid).unwrap_or(0)
+        ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // splitmix64 finalizer: avalanche the structured inputs.
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    u128::from(x % 251)
+}
+
+/// `base` stretched by this process's jitter for the given attempt: the
+/// one backoff both sides of the control plane use (the client's attach
+/// and reattach retries, the supervisor's crash-loop guard).
+pub fn jittered_backoff(base: std::time::Duration, attempt: u32) -> std::time::Duration {
+    let extra = base.as_nanos().saturating_mul(jitter_permille(attempt)) / 1000;
+    base + std::time::Duration::from_nanos(extra.min(u128::from(u64::MAX)) as u64)
+}
+
 /// True when a process with `pid` currently exists (it may belong to
 /// another user — existence is all the handshake needs).
 ///
@@ -721,6 +748,28 @@ mod tests {
         // A PID that cannot exist has no nonce.
         assert_eq!(process_start_nonce((i32::MAX - 1) as u32), None);
         assert_eq!(process_start_nonce(0), None);
+    }
+
+    #[test]
+    fn jitter_is_deterministic_and_bounded() {
+        use std::time::Duration;
+        let base = Duration::from_millis(100);
+        for attempt in 0..64u32 {
+            let j = jittered_backoff(base, attempt);
+            assert_eq!(j, jittered_backoff(base, attempt), "must be replayable");
+            assert!(j >= base, "jitter only extends the backoff");
+            assert!(
+                j <= base + base / 4,
+                "stretch is capped at 25% (got {j:?} for attempt {attempt})"
+            );
+        }
+        // The permille value actually varies across attempts (the mix is
+        // not degenerate): 16 attempts hitting one value is ~250^-15.
+        let first = jitter_permille(0);
+        assert!(
+            (1..16).any(|attempt| jitter_permille(attempt) != first),
+            "jitter must depend on the attempt index"
+        );
     }
 
     #[cfg(unix)]
