@@ -637,15 +637,16 @@ mod tests {
         assert_eq!(current.decision.gain.to_bits(), 1.5f64.to_bits());
 
         // A torn read (writer mid-publish) falls back to last-known-good.
-        let seq = segment.header().decision_seq.load(Ordering::Acquire);
+        let seq = segment.header().decision.seq.load(Ordering::Acquire);
         segment
             .header()
-            .decision_seq
+            .decision
+            .seq
             .store(seq + 1, Ordering::Release);
         let current = client.current_decision();
         assert_eq!(current.source, DecisionSource::LastKnownGood);
         assert_eq!(current.decision.point_idx, 2);
-        segment.header().decision_seq.store(seq, Ordering::Release);
+        segment.header().decision.seq.store(seq, Ordering::Release);
     }
 
     #[test]

@@ -161,7 +161,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use powerdial_heartbeats::channel::{beat_channel, BeatConsumer, BeatSample, BeatTransport};
+use powerdial_heartbeats::channel::{beat_channel, BeatConsumer, BeatSample};
 use powerdial_heartbeats::shm::{
     DecisionRead, ShmConsumer, ShmDecision, ShmPeerProbe, ShmWarmState, WarmRead,
 };
@@ -567,10 +567,10 @@ impl AppHandle {
     }
 }
 
-/// A beat source a daemon shard drains: the seam over which the in-heap
-/// SPSC ring and the cross-process shared-memory segment are
-/// interchangeable. The control code downstream of a drain is identical —
-/// where the bytes lived is invisible to it.
+/// A beat source a daemon shard drains: the in-heap SPSC ring or the
+/// cross-process shared-memory segment — two storages of one ring. The
+/// control code downstream of a drain is identical — where the bytes lived
+/// is invisible to it.
 #[derive(Debug)]
 enum BeatSource {
     /// In-heap lock-free SPSC ring ([`powerdial_heartbeats::channel`]).
@@ -581,17 +581,11 @@ enum BeatSource {
 }
 
 impl BeatSource {
-    /// The transport behind this source, as the
-    /// [`BeatTransport`] seam both variants implement.
-    fn transport(&mut self) -> &mut dyn BeatTransport {
-        match self {
-            BeatSource::Channel(consumer) => consumer,
-            BeatSource::Shm(consumer) => consumer,
-        }
-    }
-
     fn drain_into_capped(&mut self, out: &mut Vec<BeatSample>, cap: usize) -> usize {
-        self.transport().drain_into_capped(out, cap)
+        match self {
+            BeatSource::Channel(consumer) => consumer.drain_into_capped(out, cap),
+            BeatSource::Shm(consumer) => consumer.drain_into_capped(out, cap),
+        }
     }
 }
 
@@ -3145,7 +3139,7 @@ mod tests {
             observed_rate_bits: 20.0f64.to_bits(),
             beat_in_quantum: 0,
         });
-        segment.header().decision_seq.store(3, Ordering::Release);
+        segment.header().decision.seq.store(3, Ordering::Release);
         segment
             .header()
             .consumer_pid
@@ -3175,7 +3169,7 @@ mod tests {
         let seg2 =
             Arc::new(Segment::create(SegmentGeometry::for_beat_samples(16).unwrap()).unwrap());
         let producer2 = ShmProducer::attach(Arc::clone(&seg2)).unwrap();
-        seg2.header().decision_seq.store(7, Ordering::Release);
+        seg2.header().decision.seq.store(7, Ordering::Release);
         seg2.header()
             .consumer_pid
             .store(0x7FFF_FF00, Ordering::Release);

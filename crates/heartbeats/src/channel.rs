@@ -3,13 +3,14 @@
 //! The original Application Heartbeats implementation decouples instrumented
 //! applications from the external controller through a shared channel: the
 //! application writes beat records, the PowerDial daemon reads them. This
-//! module provides that channel as a wait-free SPSC ring buffer:
+//! module provides that channel within one process: the heap instantiation
+//! of the crate's one wait-free SPSC ring (the position protocol itself is
+//! written once, in [`crate::spsc`], and shared with the cross-process
+//! [`crate::shm`] transport):
 //!
-//! * the **producer** side ([`Producer::try_push`]) is wait-free — a
-//!   compare against a locally cached consumer position (refreshed with one
-//!   acquire load only when the ring looks full), one slot write, one
-//!   release store; on a full ring the beat is rejected (backpressure)
-//!   rather than blocking the application;
+//! * the **producer** side ([`Producer::try_push`]) is wait-free; on a full
+//!   ring the beat is rejected (backpressure) rather than blocking the
+//!   application;
 //! * the **consumer** side ([`Consumer::drain_into`]) drains every pending
 //!   record in one batch into a caller-owned scratch buffer, so the daemon
 //!   pays the cross-core synchronization cost once per actuation quantum
@@ -45,10 +46,11 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::record::{HeartbeatRecord, HeartbeatTag};
+use crate::spsc::{self, Storage};
 use crate::time::{Timestamp, TimestampDelta};
 
 /// Alignment used to keep the producer and consumer indices on distinct
@@ -58,7 +60,6 @@ pub const CACHE_LINE_BYTES: usize = 128;
 
 /// A value padded out to its own cache line.
 #[repr(align(128))]
-#[derive(Debug, Default)]
 struct CachePadded<T>(T);
 
 /// One heartbeat as carried over a channel: the compact, `Copy` subset of a
@@ -87,23 +88,16 @@ impl BeatSample {
     }
 }
 
-/// The ring storage shared by one producer/consumer pair.
-///
-/// Classic Lamport SPSC queue: `tail` is written only by the producer,
-/// `head` only by the consumer; both are monotonically increasing u64
-/// positions (never wrapped — at 10^9 beats/sec a u64 lasts ~585 years),
-/// masked into the power-of-two slot array on access.
-struct Shared<T> {
+/// The heap storage shared by one producer/consumer pair: plain
+/// `MaybeUninit` slots and cache-padded position atomics. Opaque; it only
+/// names the instantiation behind [`Producer`] and [`Consumer`].
+pub struct HeapRing<T> {
+    /// Power-of-two many, so a position masks into a slot index.
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: u64,
+    /// The *requested* capacity: the slot array is rounded up to a power of
+    /// two, but backpressure starts at exactly this many pending records.
     capacity: u64,
-    /// Next position the consumer will read. Written by the consumer with
-    /// `Release` (after it has finished reading the freed slots), read by
-    /// the producer with `Acquire` (before it overwrites them).
     head: CachePadded<AtomicU64>,
-    /// Next position the producer will write. Written by the producer with
-    /// `Release` (after the slot contents are in place), read by the
-    /// consumer with `Acquire` (before it reads them).
     tail: CachePadded<AtomicU64>,
 }
 
@@ -111,8 +105,40 @@ struct Shared<T> {
 // through the acquire/release pairs on `head` and `tail`; a slot is written
 // only while it is exclusively owned by the producer and read only while it
 // is exclusively owned by the consumer. `T: Copy` rules out drop hazards.
-unsafe impl<T: Copy + Send> Sync for Shared<T> {}
-unsafe impl<T: Copy + Send> Send for Shared<T> {}
+unsafe impl<T: Copy + Send> Sync for HeapRing<T> {}
+unsafe impl<T: Copy + Send> Send for HeapRing<T> {}
+
+impl<T: Copy + Send> Storage<T> for Arc<HeapRing<T>> {
+    fn head(&self) -> &AtomicU64 {
+        &self.head.0
+    }
+
+    fn tail(&self) -> &AtomicU64 {
+        &self.tail.0
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    unsafe fn write(&self, position: u64, value: T) {
+        let slot = &self.slots[position as usize & (self.slots.len() - 1)];
+        // SAFETY: the caller owns the slot exclusively.
+        unsafe { (*slot.get()).write(value) };
+    }
+
+    unsafe fn read(&self, position: u64) -> T {
+        let slot = &self.slots[position as usize & (self.slots.len() - 1)];
+        // SAFETY: the caller owns the slot exclusively, and the producer
+        // initialized it before publishing the position.
+        unsafe { (*slot.get()).assume_init_read() }
+    }
+}
+
+/// The producer half of an in-heap SPSC channel.
+pub type Producer<T> = spsc::Producer<T, Arc<HeapRing<T>>>;
+/// The consumer half of an in-heap SPSC channel.
+pub type Consumer<T> = spsc::Consumer<T, Arc<HeapRing<T>>>;
 
 /// Creates a lock-free SPSC channel holding at most `capacity` in-flight
 /// records of any `Copy` type.
@@ -126,25 +152,17 @@ unsafe impl<T: Copy + Send> Send for Shared<T> {}
 /// Panics if `capacity` is zero.
 pub fn spsc_channel<T: Copy + Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "channel capacity must be at least 1");
-    let slot_count = capacity.next_power_of_two();
-    let slots: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..slot_count)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect();
-    let shared = Arc::new(Shared {
-        slots,
-        mask: slot_count as u64 - 1,
+    let shared = Arc::new(HeapRing {
+        slots: (0..capacity.next_power_of_two())
+            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+            .collect(),
         capacity: capacity as u64,
         head: CachePadded(AtomicU64::new(0)),
         tail: CachePadded(AtomicU64::new(0)),
     });
     (
-        Producer {
-            shared: Arc::clone(&shared),
-            tail: 0,
-            cached_head: 0,
-            rejected: 0,
-        },
-        Consumer { shared, head: 0 },
+        spsc::Producer::new(Arc::clone(&shared)),
+        spsc::Consumer::new(shared),
     )
 }
 
@@ -163,282 +181,9 @@ pub type BeatProducer = Producer<BeatSample>;
 /// The consumer (daemon) half of a [`BeatSample`] channel.
 pub type BeatConsumer = Consumer<BeatSample>;
 
-/// The seam between beat sources and the control side: anything that can
-/// batch-drain pending [`BeatSample`]s into a reused scratch buffer.
-///
-/// Implemented by the in-heap SPSC [`Consumer`], the cross-process
-/// [`crate::shm::ShmConsumer`], and the mutex-guarded baseline
-/// [`crate::naive::MutexChannel`], so registries, daemons, and benchmarks
-/// can treat all transports identically. Implementations must drain oldest
-/// first and must not allocate once `out` has grown to the transport's
-/// capacity.
-pub trait BeatTransport {
-    /// Drains every pending beat into `out` (cleared first), oldest first,
-    /// returning how many were drained.
-    fn drain_into(&mut self, out: &mut Vec<BeatSample>) -> usize;
-
-    /// Drains at most `cap` pending beats into `out` (cleared first),
-    /// oldest first, returning how many were drained. Beats beyond the cap
-    /// stay queued for the next drain; callers wanting everything pass
-    /// `usize::MAX` (or use [`drain_into`](BeatTransport::drain_into)).
-    fn drain_into_capped(&mut self, out: &mut Vec<BeatSample>, cap: usize) -> usize;
-
-    /// Beats currently pending.
-    fn pending(&self) -> usize;
-
-    /// The transport's capacity in records (pushes beyond it see
-    /// backpressure).
-    fn capacity(&self) -> usize;
-}
-
-impl BeatTransport for Consumer<BeatSample> {
-    fn drain_into(&mut self, out: &mut Vec<BeatSample>) -> usize {
-        Consumer::drain_into(self, out)
-    }
-
-    fn drain_into_capped(&mut self, out: &mut Vec<BeatSample>, cap: usize) -> usize {
-        Consumer::drain_into_capped(self, out, cap)
-    }
-
-    fn pending(&self) -> usize {
-        Consumer::pending(self)
-    }
-
-    fn capacity(&self) -> usize {
-        Consumer::capacity(self)
-    }
-}
-
-impl<T: Copy> std::fmt::Debug for Producer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Producer")
-            .field("pushed", &self.tail)
-            .field("rejected", &self.rejected)
-            .field("capacity", &self.shared.capacity)
-            .finish()
-    }
-}
-
-impl<T: Copy> std::fmt::Debug for Consumer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer")
-            .field("drained", &self.head)
-            .field("capacity", &self.shared.capacity)
-            .finish()
-    }
-}
-
-/// The producer half of an SPSC channel. Not cloneable: exactly one thread
-/// may push at a time (move the producer to hand it off).
-pub struct Producer<T: Copy> {
-    shared: Arc<Shared<T>>,
-    /// Local copy of the producer position (the producer is its only
-    /// writer, so it never needs to load the atomic).
-    tail: u64,
-    /// Last observed consumer position; refreshed from the shared atomic
-    /// only when the ring looks full, so steady-state pushes touch a single
-    /// shared cache line (the slot) plus the producer-owned tail.
-    cached_head: u64,
-    rejected: u64,
-}
-
-impl<T: Copy + Send> Producer<T> {
-    /// Attempts to push one record. Wait-free: never blocks, never spins,
-    /// never allocates.
-    ///
-    /// # Errors
-    ///
-    /// Returns the record back when the ring is full (the consumer has not
-    /// drained recently enough); the rejected-push count is tracked and
-    /// available via [`Producer::rejected`].
-    #[inline]
-    pub fn try_push(&mut self, value: T) -> Result<(), T> {
-        if self.tail - self.cached_head >= self.shared.capacity {
-            self.cached_head = self.shared.head.0.load(Ordering::Acquire);
-            if self.tail - self.cached_head >= self.shared.capacity {
-                self.rejected += 1;
-                return Err(value);
-            }
-        }
-        let slot = &self.shared.slots[(self.tail & self.shared.mask) as usize];
-        // SAFETY: slots in [head, head+capacity) ∋ tail are owned by the
-        // producer until the matching release store below publishes them.
-        unsafe { (*slot.get()).write(value) };
-        self.tail += 1;
-        self.shared.tail.0.store(self.tail, Ordering::Release);
-        Ok(())
-    }
-
-    /// Number of records currently in flight (pushed but not yet drained).
-    /// Producer-side view; exact, because only the consumer can shrink it
-    /// and shrinking is observed on the next full-ring check.
-    pub fn in_flight(&self) -> u64 {
-        self.tail - self.shared.head.0.load(Ordering::Acquire)
-    }
-
-    /// Number of pushes rejected so far because the ring was full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Total records successfully pushed.
-    pub fn pushed(&self) -> u64 {
-        self.tail
-    }
-
-    /// The channel's capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity as usize
-    }
-}
-
-/// The consumer half of an SPSC channel. Not cloneable: exactly one thread
-/// may drain at a time.
-pub struct Consumer<T: Copy> {
-    shared: Arc<Shared<T>>,
-    /// Local copy of the consumer position (the consumer is its only
-    /// writer).
-    head: u64,
-}
-
-impl<T: Copy + Send> Consumer<T> {
-    /// Drains every pending record into `out` (cleared first), oldest
-    /// first, and returns how many were drained.
-    ///
-    /// `out` is a reusable scratch buffer: it grows to at most the channel
-    /// capacity on early calls and is never reallocated after that, so the
-    /// steady-state drain performs no heap allocation.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
-        self.drain_into_capped(out, usize::MAX)
-    }
-
-    /// Drains at most `cap` pending records into `out` (cleared first),
-    /// oldest first, and returns how many were drained. Records beyond the
-    /// cap stay in the ring for the next drain — the daemon's fairness
-    /// valve: one flooded ring cannot monopolize a shard's quantum.
-    ///
-    /// Same allocation contract as [`drain_into`](Consumer::drain_into).
-    pub fn drain_into_capped(&mut self, out: &mut Vec<T>, cap: usize) -> usize {
-        out.clear();
-        let tail = self.shared.tail.0.load(Ordering::Acquire);
-        let take = ((tail - self.head) as usize).min(cap);
-        if take == 0 {
-            return 0;
-        }
-        out.reserve(take);
-        let end = self.head + take as u64;
-        for position in self.head..end {
-            let slot = &self.shared.slots[(position & self.shared.mask) as usize];
-            // SAFETY: positions in [head, tail) ⊇ [head, end) were published
-            // by the producer's release store, which the acquire load above
-            // synchronized with; the producer will not overwrite them until
-            // the release store of `head` below frees them.
-            out.push(unsafe { (*slot.get()).assume_init_read() });
-        }
-        self.head = end;
-        self.shared.head.0.store(end, Ordering::Release);
-        take
-    }
-
-    /// Pops a single pending record, oldest first.
-    pub fn try_pop(&mut self) -> Option<T> {
-        let tail = self.shared.tail.0.load(Ordering::Acquire);
-        if tail == self.head {
-            return None;
-        }
-        let slot = &self.shared.slots[(self.head & self.shared.mask) as usize];
-        // SAFETY: as in `drain_into`.
-        let value = unsafe { (*slot.get()).assume_init_read() };
-        self.head += 1;
-        self.shared.head.0.store(self.head, Ordering::Release);
-        Some(value)
-    }
-
-    /// Number of records currently pending. Consumer-side view.
-    pub fn pending(&self) -> usize {
-        (self.shared.tail.0.load(Ordering::Acquire) - self.head) as usize
-    }
-
-    /// True when no records are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Total records drained so far.
-    pub fn drained(&self) -> u64 {
-        self.head
-    }
-
-    /// The channel's capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(tag: u64, millis: u64) -> BeatSample {
-        BeatSample {
-            tag: HeartbeatTag(tag),
-            timestamp: Timestamp::from_millis(millis),
-            latency: TimestampDelta::from_millis(if tag == 0 { 0 } else { 10 }),
-        }
-    }
-
-    #[test]
-    fn push_then_drain_preserves_order() {
-        let (mut tx, mut rx) = beat_channel(16);
-        for i in 0..10u64 {
-            tx.try_push(sample(i, i * 10)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 10);
-        let tags: Vec<u64> = out.iter().map(|s| s.tag.value()).collect();
-        assert_eq!(tags, (0..10).collect::<Vec<_>>());
-        assert_eq!(rx.drain_into(&mut out), 0);
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn capped_drain_leaves_the_rest_queued() {
-        let (mut tx, mut rx) = spsc_channel::<u64>(16);
-        for i in 0..10 {
-            tx.try_push(i).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into_capped(&mut out, 4), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(rx.pending(), 6);
-        // The freed slots are immediately reusable by the producer.
-        for i in 10..14 {
-            tx.try_push(i).unwrap();
-        }
-        assert_eq!(rx.drain_into_capped(&mut out, usize::MAX), 10);
-        assert_eq!(out, (4..14).collect::<Vec<_>>());
-        assert_eq!(rx.drain_into_capped(&mut out, 0), 0);
-    }
-
-    #[test]
-    fn full_ring_rejects_and_counts() {
-        let (mut tx, mut rx) = spsc_channel::<u64>(4);
-        for i in 0..4 {
-            tx.try_push(i).unwrap();
-        }
-        assert_eq!(tx.try_push(99), Err(99));
-        assert_eq!(tx.try_push(100), Err(100));
-        assert_eq!(tx.rejected(), 2);
-        assert_eq!(tx.pushed(), 4);
-        assert_eq!(tx.in_flight(), 4);
-
-        // Draining frees the whole ring.
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        tx.try_push(5).unwrap();
-        assert_eq!(tx.in_flight(), 1);
-    }
 
     #[test]
     fn capacity_is_exact_even_when_rounded() {
@@ -457,38 +202,21 @@ mod tests {
     }
 
     #[test]
-    fn try_pop_interleaves_with_drain() {
+    fn single_record_drains_interleave_with_batch_drains() {
         let (mut tx, mut rx) = spsc_channel::<u64>(8);
         for i in 0..6 {
             tx.try_push(i).unwrap();
         }
-        assert_eq!(rx.try_pop(), Some(0));
-        assert_eq!(rx.try_pop(), Some(1));
-        assert_eq!(rx.pending(), 4);
         let mut out = Vec::new();
+        assert_eq!(rx.drain_into_capped(&mut out, 1), 1);
+        assert_eq!(out, vec![0]);
+        assert_eq!(rx.drain_into_capped(&mut out, 1), 1);
+        assert_eq!(out, vec![1]);
+        assert_eq!(rx.pending(), 4);
         assert_eq!(rx.drain_into(&mut out), 4);
         assert_eq!(out, vec![2, 3, 4, 5]);
-        assert_eq!(rx.try_pop(), None);
+        assert_eq!(rx.drain_into_capped(&mut out, 1), 0);
         assert_eq!(rx.drained(), 6);
-    }
-
-    #[test]
-    fn wraparound_keeps_fifo_order() {
-        let (mut tx, mut rx) = spsc_channel::<u64>(4);
-        let mut out = Vec::new();
-        let mut expected = 0u64;
-        for round in 0..100u64 {
-            let burst = 1 + (round % 4);
-            for _ in 0..burst {
-                tx.try_push(tx.pushed()).unwrap();
-            }
-            rx.drain_into(&mut out);
-            for value in &out {
-                assert_eq!(*value, expected);
-                expected += 1;
-            }
-        }
-        assert_eq!(tx.rejected(), 0);
     }
 
     #[test]

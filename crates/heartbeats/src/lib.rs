@@ -49,11 +49,12 @@ mod record;
 mod registry;
 mod ring;
 pub mod shm;
+pub mod spsc;
 mod stats;
 pub mod telemetry;
 mod time;
 
-pub use channel::{beat_channel, BeatConsumer, BeatProducer, BeatSample, BeatTransport};
+pub use channel::{beat_channel, BeatConsumer, BeatProducer, BeatSample};
 pub use error::HeartbeatError;
 pub use monitor::{HeartbeatMonitor, MonitorConfig, TargetRate, DEFAULT_HISTORY_CAPACITY};
 pub use record::{HeartRate, HeartbeatRecord, HeartbeatTag};

@@ -212,28 +212,6 @@ impl<T: Copy> MutexChannel<T> {
     }
 }
 
-impl crate::channel::BeatTransport for MutexChannel<crate::channel::BeatSample> {
-    fn drain_into(&mut self, out: &mut Vec<crate::channel::BeatSample>) -> usize {
-        MutexChannel::drain_into(self, out)
-    }
-
-    fn drain_into_capped(
-        &mut self,
-        out: &mut Vec<crate::channel::BeatSample>,
-        cap: usize,
-    ) -> usize {
-        MutexChannel::drain_into_capped(self, out, cap)
-    }
-
-    fn pending(&self) -> usize {
-        MutexChannel::pending(self)
-    }
-
-    fn capacity(&self) -> usize {
-        MutexChannel::capacity(self)
-    }
-}
-
 #[cfg(test)]
 mod channel_tests {
     use super::*;

@@ -15,7 +15,8 @@
 //! offset 256  ├────────────────────────────────────────────┤
 //!             │ tail (producer-owned)                      │  cache line 2
 //! offset 384  ├────────────────────────────────────────────┤
-//!             │ decision block (daemon-owned seqlock)      │  cache line 3
+//!             │ decision: SeqBlock (daemon-owned seqlock)  │  cache line 3
+//! offset 424  │ warm:     SeqBlock (daemon-owned seqlock)  │
 //! offset 512  ├────────────────────────────────────────────┤
 //!             │ slot 0 │ slot 1 │ …  │ slot capacity-1     │  fixed stride
 //!             └────────────────────────────────────────────┘
@@ -43,10 +44,7 @@
 //!   achieved speedup, expected QoS loss) published under a seqlock
 //!   ([`SegmentHeader::publish_decision`]). Application-side reads
 //!   ([`SegmentHeader::read_decision`]) are wait-free (bounded retries) and
-//!   torn-read-free: a reader either gets a bit-consistent snapshot, an
-//!   explicit [`DecisionRead::Empty`], or an explicit
-//!   [`DecisionRead::Torn`] — never a half-written mixture, even when the
-//!   daemon is SIGKILLed between the two halves of a seqlock write.
+//!   torn-read-free; the protocol is [`SeqBlock`]'s.
 //!
 //! # Reserved-region extension: the warm-start block
 //!
@@ -54,18 +52,19 @@
 //! daemon's *warm-start block* ([`ShmWarmState`]): the controller state a
 //! successor daemon needs to resume from the last actuation instead of
 //! re-converging from cold after a crash — current knob point, integrator
-//! (speedup) state, and a window summary. It lives under its own seqlock
-//! (`warm_seq`), written by the same single daemon writer as the decision
-//! block and read only on the adoption path. Fields that were previously
+//! (speedup) state, and a window summary. It is a second [`SeqBlock`],
+//! written by the same single daemon writer as the decision block and read
+//! only on the adoption path. Fields that were previously
 //! zero padding stay zero until first publish, so the extension is
 //! backward- and forward-compatible within ABI v2: old readers ignore the
 //! bytes, new readers see [`WarmRead::Empty`] on old segments.
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::channel::BeatSample;
 use crate::record::HeartbeatTag;
 use crate::shm::error::ShmError;
+use crate::shm::seqlock::{SeqBlock, SeqRead};
 use crate::time::{Timestamp, TimestampDelta};
 
 /// First eight bytes of every beat segment: `b"PDSHMBT1"`, little-endian.
@@ -80,12 +79,6 @@ pub const SEGMENT_ABI_VERSION: u32 = 2;
 /// blocks: control fields, consumer-owned `head`, producer-owned `tail`,
 /// and the daemon-owned decision block.
 pub const SEGMENT_HEADER_LEN: usize = 512;
-
-/// Bounded seqlock read attempts in [`SegmentHeader::read_decision`]. The
-/// writer holds the lock for a handful of relaxed stores, so under any
-/// live writer two attempts suffice; the bound exists so a writer that
-/// died mid-publish degrades to [`DecisionRead::Torn`] instead of a spin.
-pub const DECISION_READ_RETRIES: usize = 8;
 
 /// Default distance in bytes between consecutive slots. Must be at least
 /// `size_of::<ShmBeatSample>()` (24); 32 keeps slots 8-aligned with room
@@ -145,6 +138,7 @@ impl ShmBeatSample {
     ///
     /// `slot` must be valid for 24 bytes of writes and 8-byte aligned
     /// (guaranteed by a validated [`SegmentGeometry`]).
+    #[inline]
     pub unsafe fn store_to(self, slot: *mut u8) {
         debug_assert_eq!(slot as usize % 8, 0);
         let words = slot as *mut AtomicU64;
@@ -164,6 +158,7 @@ impl ShmBeatSample {
     /// # Safety
     ///
     /// `slot` must be valid for 24 bytes of reads and 8-byte aligned.
+    #[inline]
     pub unsafe fn load_from(slot: *const u8) -> Self {
         debug_assert_eq!(slot as usize % 8, 0);
         let words = slot as *const AtomicU64;
@@ -214,6 +209,26 @@ impl ShmDecision {
     pub fn expected_qos_loss(&self) -> f64 {
         f64::from_bits(self.qos_loss_bits)
     }
+
+    /// The decision as the four words of its [`SeqBlock`].
+    fn to_words(self) -> [u64; 4] {
+        [
+            u64::from(self.point_idx),
+            self.gain_bits,
+            self.achieved_speedup_bits,
+            self.qos_loss_bits,
+        ]
+    }
+
+    /// Decodes [`ShmDecision::to_words`] (low 32 bits of the point word).
+    fn from_words(words: [u64; 4]) -> Self {
+        ShmDecision {
+            point_idx: words[0] as u32,
+            gain_bits: words[1],
+            achieved_speedup_bits: words[2],
+            qos_loss_bits: words[3],
+        }
+    }
 }
 
 /// The controller warm-start state as published in the segment's reserved
@@ -246,35 +261,36 @@ impl ShmWarmState {
     pub fn observed_rate(&self) -> f64 {
         f64::from_bits(self.observed_rate_bits)
     }
+
+    /// The warm state as the four words of its [`SeqBlock`].
+    fn to_words(self) -> [u64; 4] {
+        [
+            u64::from(self.point_idx),
+            self.speedup_bits,
+            self.observed_rate_bits,
+            self.beat_in_quantum,
+        ]
+    }
+
+    /// Decodes [`ShmWarmState::to_words`] (low 32 bits of the point word).
+    fn from_words(words: [u64; 4]) -> Self {
+        ShmWarmState {
+            point_idx: words[0] as u32,
+            speedup_bits: words[1],
+            observed_rate_bits: words[2],
+            beat_in_quantum: words[3],
+        }
+    }
 }
 
-/// Outcome of one wait-free warm-start-block read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmRead {
-    /// No warm state has ever been published (or the block was reset);
-    /// the successor starts the controller cold.
-    Empty,
-    /// A bit-consistent snapshot of the latest published warm state.
-    Ready(ShmWarmState),
-    /// Every bounded retry raced a write in progress — the predecessor
-    /// died between the halves of a seqlock write. The successor starts
-    /// cold; the first publish repairs the parity.
-    Torn,
-}
+/// Outcome of one wait-free warm-start-block read. `Empty` or `Torn` (the
+/// predecessor died mid-publish) both mean the successor starts the
+/// controller cold; the first publish repairs the parity.
+pub type WarmRead = SeqRead<ShmWarmState>;
 
-/// Outcome of one wait-free decision-block read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionRead {
-    /// No decision has ever been published (or the block was reset).
-    Empty,
-    /// A bit-consistent snapshot of the latest published decision.
-    Ready(ShmDecision),
-    /// Every bounded retry raced a write in progress. Either the daemon is
-    /// publishing right now (the next read will succeed) or it died between
-    /// the two halves of a seqlock write (the block is permanently torn
-    /// until reset). Callers keep their last known-good decision.
-    Torn,
-}
+/// Outcome of one wait-free decision-block read. On `Torn`, callers keep
+/// their last known-good decision.
+pub type DecisionRead = SeqRead<ShmDecision>;
 
 /// The geometry of a segment's slot array: how many slots, how far apart,
 /// and how many bytes of each slot carry a record.
@@ -338,13 +354,7 @@ impl SegmentGeometry {
     ///
     /// Returns [`ShmError::BadGeometry`] naming the first violated field.
     pub fn validate(&self) -> Result<(), ShmError> {
-        if self.capacity == 0 || !self.capacity.is_power_of_two() {
-            return Err(ShmError::BadGeometry {
-                field: "capacity",
-                found: self.capacity,
-            });
-        }
-        if self.capacity > MAX_SLOT_CAPACITY {
+        if !self.capacity.is_power_of_two() || self.capacity > MAX_SLOT_CAPACITY {
             return Err(ShmError::BadGeometry {
                 field: "capacity",
                 found: self.capacity,
@@ -459,34 +469,16 @@ pub struct SegmentHeader {
     /// with `Acquire` before reading them.
     pub tail: AtomicU64,
     _pad2: [u8; 120],
-    /// Seqlock version counter of the decision block (ABI v2). `0` = no
-    /// decision ever published; odd = a write is in progress. Written only
-    /// by the daemon ([`SegmentHeader::publish_decision`]); read with
+    /// The decision block (ABI v2): the latest [`ShmDecision`]. Written
+    /// only by the daemon ([`SegmentHeader::publish_decision`]); read with
     /// bounded retries by the application
     /// ([`SegmentHeader::read_decision`]).
-    pub decision_seq: AtomicU64,
-    /// Dense knob-table index of the latest decision (low 32 bits used).
-    pub decision_point: AtomicU64,
-    /// Bit pattern of the latest decision's knob gain (f64).
-    pub decision_gain_bits: AtomicU64,
-    /// Bit pattern of the latest quantum's achieved speedup (f64).
-    pub decision_speedup_bits: AtomicU64,
-    /// Bit pattern of the latest quantum's expected QoS loss (f64).
-    pub decision_qos_bits: AtomicU64,
-    /// Seqlock version counter of the warm-start block (reserved-region
-    /// extension). `0` = never published; odd = write in progress. Written
-    /// only by the daemon ([`SegmentHeader::publish_warm_state`]); read by
-    /// a successor daemon on the adoption path
-    /// ([`SegmentHeader::read_warm_state`]).
-    pub warm_seq: AtomicU64,
-    /// Dense knob-table index of the last actuation (low 32 bits used).
-    pub warm_point: AtomicU64,
-    /// Bit pattern of the controller integrator (speedup) state (f64).
-    pub warm_speedup_bits: AtomicU64,
-    /// Bit pattern of the last observed window heart rate (f64).
-    pub warm_rate_bits: AtomicU64,
-    /// Beat position within the control quantum at publish time.
-    pub warm_beat_in_quantum: AtomicU64,
+    pub decision: SeqBlock,
+    /// The warm-start block (reserved-region extension): the latest
+    /// [`ShmWarmState`]. Written only by the daemon
+    /// ([`SegmentHeader::publish_warm_state`]); read by a successor daemon
+    /// on the adoption path ([`SegmentHeader::read_warm_state`]).
+    pub warm: SeqBlock,
     _pad3: [u8; 48],
 }
 
@@ -495,8 +487,8 @@ const _: () = assert!(std::mem::align_of::<SegmentHeader>() == 8);
 const _: () = assert!(std::mem::offset_of!(SegmentHeader, producer_nonce) == 48);
 const _: () = assert!(std::mem::offset_of!(SegmentHeader, head) == 128);
 const _: () = assert!(std::mem::offset_of!(SegmentHeader, tail) == 256);
-const _: () = assert!(std::mem::offset_of!(SegmentHeader, decision_seq) == 384);
-const _: () = assert!(std::mem::offset_of!(SegmentHeader, warm_seq) == 424);
+const _: () = assert!(std::mem::offset_of!(SegmentHeader, decision) == 384);
+const _: () = assert!(std::mem::offset_of!(SegmentHeader, warm) == 424);
 
 impl SegmentHeader {
     /// Writes a fresh header for `geometry` into zeroed segment memory.
@@ -515,166 +507,51 @@ impl SegmentHeader {
         self.producer_nonce.store(0, Ordering::Relaxed);
         self.head.store(0, Ordering::Relaxed);
         self.tail.store(0, Ordering::Relaxed);
-        self.decision_seq.store(0, Ordering::Relaxed);
-        self.decision_point.store(0, Ordering::Relaxed);
-        self.decision_gain_bits.store(0, Ordering::Relaxed);
-        self.decision_speedup_bits.store(0, Ordering::Relaxed);
-        self.decision_qos_bits.store(0, Ordering::Relaxed);
-        self.warm_seq.store(0, Ordering::Relaxed);
-        self.warm_point.store(0, Ordering::Relaxed);
-        self.warm_speedup_bits.store(0, Ordering::Relaxed);
-        self.warm_rate_bits.store(0, Ordering::Relaxed);
-        self.warm_beat_in_quantum.store(0, Ordering::Relaxed);
+        self.decision.reset();
+        self.warm.reset();
         self.magic.store(SEGMENT_MAGIC, Ordering::Relaxed);
         self.ready.store(SEGMENT_READY, Ordering::Release);
     }
 
-    /// Publishes one decision into the decision block under the seqlock.
-    ///
-    /// Single-writer by protocol (the attached consumer/daemon); the
-    /// version counter goes odd, the payload words are stored, the counter
-    /// goes even. A writer that inherits an odd counter (its predecessor
-    /// died mid-publish) transparently repairs it: the in-progress parity
-    /// is kept odd for the duration of this write and lands on even.
+    /// Publishes one decision into the decision block
+    /// ([`SeqBlock::publish`]; single-writer by protocol — the attached
+    /// consumer/daemon).
     pub fn publish_decision(&self, decision: ShmDecision) {
-        let seq = self.decision_seq.load(Ordering::Relaxed);
-        // Next odd value above `seq`: seq+1 when even, seq+2 when a dead
-        // predecessor left it odd.
-        let writing = seq + 1 + (seq & 1);
-        self.decision_seq.store(writing, Ordering::Relaxed);
-        // Readers that loaded `writing` (odd) discard their snapshot, so
-        // these relaxed stores can never be *observed* torn; the fence
-        // keeps them from sinking above the odd store.
-        fence(Ordering::Release);
-        self.decision_point
-            .store(u64::from(decision.point_idx), Ordering::Relaxed);
-        self.decision_gain_bits
-            .store(decision.gain_bits, Ordering::Relaxed);
-        self.decision_speedup_bits
-            .store(decision.achieved_speedup_bits, Ordering::Relaxed);
-        self.decision_qos_bits
-            .store(decision.qos_loss_bits, Ordering::Relaxed);
-        self.decision_seq.store(writing + 1, Ordering::Release);
+        self.decision.publish(decision.to_words());
     }
 
     /// Clears the decision block back to the never-published state (the
     /// reap path: a reaped application's segment must not leak its last
-    /// decision into a future reuse of the mapping).
-    ///
-    /// The clear runs under the same seqlock discipline as a publish, so a
-    /// concurrent reader races into [`DecisionRead::Empty`] or a retry —
-    /// never a half-cleared snapshot.
+    /// decision into a future reuse of the mapping). See
+    /// [`SeqBlock::reset`] for the precondition.
     pub fn reset_decision(&self) {
-        let seq = self.decision_seq.load(Ordering::Relaxed);
-        let writing = seq + 1 + (seq & 1);
-        self.decision_seq.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.decision_point.store(0, Ordering::Relaxed);
-        self.decision_gain_bits.store(0, Ordering::Relaxed);
-        self.decision_speedup_bits.store(0, Ordering::Relaxed);
-        self.decision_qos_bits.store(0, Ordering::Relaxed);
-        self.decision_seq.store(0, Ordering::Release);
+        self.decision.reset();
     }
 
-    /// Reads the decision block wait-free: at most
-    /// [`DECISION_READ_RETRIES`] seqlock attempts, each one a pair of
-    /// version loads around relaxed payload loads.
-    ///
-    /// Returns [`DecisionRead::Ready`] with a snapshot whose bits are
-    /// exactly what some single [`SegmentHeader::publish_decision`] wrote,
-    /// [`DecisionRead::Empty`] when nothing was ever published, or
-    /// [`DecisionRead::Torn`] when every attempt raced an in-progress (or
-    /// abandoned mid-write) publication. A torn result is a *signal*, not
-    /// data: callers keep their last known-good decision.
+    /// Reads the decision block wait-free ([`SeqBlock::read`]): a snapshot
+    /// whose bits are exactly what some single
+    /// [`SegmentHeader::publish_decision`] wrote, `Empty`, or `Torn`.
     pub fn read_decision(&self) -> DecisionRead {
-        for _ in 0..DECISION_READ_RETRIES {
-            let before = self.decision_seq.load(Ordering::Acquire);
-            if before == 0 {
-                return DecisionRead::Empty;
-            }
-            if before & 1 == 1 {
-                // Write in progress; try again.
-                std::hint::spin_loop();
-                continue;
-            }
-            let decision = ShmDecision {
-                point_idx: self.decision_point.load(Ordering::Relaxed) as u32,
-                gain_bits: self.decision_gain_bits.load(Ordering::Relaxed),
-                achieved_speedup_bits: self.decision_speedup_bits.load(Ordering::Relaxed),
-                qos_loss_bits: self.decision_qos_bits.load(Ordering::Relaxed),
-            };
-            // Order the payload loads before the confirming version load.
-            fence(Ordering::Acquire);
-            let after = self.decision_seq.load(Ordering::Relaxed);
-            if before == after {
-                return DecisionRead::Ready(decision);
-            }
-        }
-        DecisionRead::Torn
+        self.decision.read().map(ShmDecision::from_words)
     }
 
-    /// Publishes the controller warm-start state under its seqlock.
-    ///
-    /// Same single-writer discipline and dead-predecessor parity repair as
-    /// [`SegmentHeader::publish_decision`]; the writer is the attached
-    /// daemon, once per actuation.
+    /// Publishes the controller warm-start state into the warm-start
+    /// block; the writer is the attached daemon, once per actuation.
     pub fn publish_warm_state(&self, state: ShmWarmState) {
-        let seq = self.warm_seq.load(Ordering::Relaxed);
-        let writing = seq + 1 + (seq & 1);
-        self.warm_seq.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.warm_point
-            .store(u64::from(state.point_idx), Ordering::Relaxed);
-        self.warm_speedup_bits
-            .store(state.speedup_bits, Ordering::Relaxed);
-        self.warm_rate_bits
-            .store(state.observed_rate_bits, Ordering::Relaxed);
-        self.warm_beat_in_quantum
-            .store(state.beat_in_quantum, Ordering::Relaxed);
-        self.warm_seq.store(writing + 1, Ordering::Release);
+        self.warm.publish(state.to_words());
     }
 
     /// Clears the warm-start block back to the never-published state (the
     /// reap path: a reused segment must not warm-start a fresh app's
     /// controller from a dead app's trajectory).
     pub fn reset_warm_state(&self) {
-        let seq = self.warm_seq.load(Ordering::Relaxed);
-        let writing = seq + 1 + (seq & 1);
-        self.warm_seq.store(writing, Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.warm_point.store(0, Ordering::Relaxed);
-        self.warm_speedup_bits.store(0, Ordering::Relaxed);
-        self.warm_rate_bits.store(0, Ordering::Relaxed);
-        self.warm_beat_in_quantum.store(0, Ordering::Relaxed);
-        self.warm_seq.store(0, Ordering::Release);
+        self.warm.reset();
     }
 
-    /// Reads the warm-start block wait-free (bounded seqlock retries,
-    /// exactly like [`SegmentHeader::read_decision`]). A torn result means
-    /// the predecessor died mid-publish; the successor starts cold.
+    /// Reads the warm-start block wait-free. A torn result means the
+    /// predecessor died mid-publish; the successor starts cold.
     pub fn read_warm_state(&self) -> WarmRead {
-        for _ in 0..DECISION_READ_RETRIES {
-            let before = self.warm_seq.load(Ordering::Acquire);
-            if before == 0 {
-                return WarmRead::Empty;
-            }
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let state = ShmWarmState {
-                point_idx: self.warm_point.load(Ordering::Relaxed) as u32,
-                speedup_bits: self.warm_speedup_bits.load(Ordering::Relaxed),
-                observed_rate_bits: self.warm_rate_bits.load(Ordering::Relaxed),
-                beat_in_quantum: self.warm_beat_in_quantum.load(Ordering::Relaxed),
-            };
-            fence(Ordering::Acquire);
-            let after = self.warm_seq.load(Ordering::Relaxed);
-            if before == after {
-                return WarmRead::Ready(state);
-            }
-        }
-        WarmRead::Torn
+        self.warm.read().map(ShmWarmState::from_words)
     }
 
     /// Validates magic, version, readiness, and geometry against a mapping
@@ -816,20 +693,11 @@ mod tests {
     }
 
     #[test]
-    fn decision_block_publish_read_reset_round_trips() {
+    fn embedded_blocks_round_trip_typed_payloads_independently() {
         let header: SegmentHeader = unsafe { std::mem::zeroed() };
         header.initialize(SegmentGeometry::for_beat_samples(8).unwrap());
         assert_eq!(header.read_decision(), DecisionRead::Empty);
-
-        let decision = ShmDecision {
-            point_idx: 3,
-            gain_bits: 2.5f64.to_bits(),
-            achieved_speedup_bits: 1.75f64.to_bits(),
-            qos_loss_bits: 0.03f64.to_bits(),
-        };
-        header.publish_decision(decision);
-        assert_eq!(header.read_decision(), DecisionRead::Ready(decision));
-        assert_eq!(header.decision_seq.load(Ordering::Relaxed), 2);
+        assert_eq!(header.read_warm_state(), WarmRead::Empty);
 
         // NaN payloads survive bit-exactly (bits, not float compare).
         let nan = ShmDecision {
@@ -843,43 +711,8 @@ mod tests {
         assert_eq!(nan.gain().to_bits(), f64::NAN.to_bits());
         assert_eq!(nan.achieved_speedup(), f64::INFINITY);
         assert_eq!(nan.expected_qos_loss().to_bits(), (-0.0f64).to_bits());
-
-        header.reset_decision();
-        assert_eq!(header.read_decision(), DecisionRead::Empty);
-    }
-
-    #[test]
-    fn decision_read_reports_torn_when_writer_died_mid_publish() {
-        let header: SegmentHeader = unsafe { std::mem::zeroed() };
-        header.initialize(SegmentGeometry::for_beat_samples(8).unwrap());
-        header.publish_decision(ShmDecision {
-            point_idx: 1,
-            gain_bits: 1.5f64.to_bits(),
-            achieved_speedup_bits: 1.5f64.to_bits(),
-            qos_loss_bits: 0.0f64.to_bits(),
-        });
-        // Simulate a daemon SIGKILLed between the seqlock write halves:
-        // version odd, payload half-scribbled.
-        header.decision_seq.store(3, Ordering::Release);
-        header.decision_gain_bits.store(0xdead, Ordering::Relaxed);
-        assert_eq!(header.read_decision(), DecisionRead::Torn);
-        // A successor writer repairs the parity: the next publish lands on
-        // an even version and reads go through again.
-        let repaired = ShmDecision {
-            point_idx: 2,
-            gain_bits: 2.0f64.to_bits(),
-            achieved_speedup_bits: 2.0f64.to_bits(),
-            qos_loss_bits: 0.01f64.to_bits(),
-        };
-        header.publish_decision(repaired);
-        assert_eq!(header.decision_seq.load(Ordering::Relaxed) & 1, 0);
-        assert_eq!(header.read_decision(), DecisionRead::Ready(repaired));
-    }
-
-    #[test]
-    fn warm_state_publish_read_reset_round_trips() {
-        let header: SegmentHeader = unsafe { std::mem::zeroed() };
-        header.initialize(SegmentGeometry::for_beat_samples(8).unwrap());
+        assert_eq!(header.decision.seq.load(Ordering::Relaxed), 2);
+        // Warm and decision blocks are independent seqlocks.
         assert_eq!(header.read_warm_state(), WarmRead::Empty);
 
         let state = ShmWarmState {
@@ -889,32 +722,24 @@ mod tests {
             beat_in_quantum: 42,
         };
         header.publish_warm_state(state);
+        header.publish_warm_state(state);
         assert_eq!(header.read_warm_state(), WarmRead::Ready(state));
-        assert_eq!(header.warm_seq.load(Ordering::Relaxed), 2);
-        // Warm and decision blocks are independent seqlocks.
-        assert_eq!(header.read_decision(), DecisionRead::Empty);
+        assert_eq!(header.warm.seq.load(Ordering::Relaxed), 4);
+        assert_eq!(header.decision.seq.load(Ordering::Relaxed), 2);
+        assert_eq!(state.speedup(), 1.9);
+        assert_eq!(state.observed_rate(), 87.5);
 
+        // A torn block does not taint its neighbour, and neither does a
+        // reset.
+        header.warm.seq.store(5, Ordering::Release);
+        assert_eq!(header.read_warm_state(), WarmRead::Torn);
+        assert_eq!(header.read_decision(), DecisionRead::Ready(nan));
         header.reset_warm_state();
         assert_eq!(header.read_warm_state(), WarmRead::Empty);
-    }
-
-    #[test]
-    fn warm_state_read_reports_torn_when_writer_died_mid_publish() {
-        let header: SegmentHeader = unsafe { std::mem::zeroed() };
-        header.initialize(SegmentGeometry::for_beat_samples(8).unwrap());
-        // Predecessor SIGKILLed between the seqlock write halves.
-        header.warm_seq.store(1, Ordering::Release);
-        header.warm_speedup_bits.store(0xbeef, Ordering::Relaxed);
-        assert_eq!(header.read_warm_state(), WarmRead::Torn);
-        // The successor's first publish repairs the parity.
-        let state = ShmWarmState {
-            point_idx: 1,
-            speedup_bits: 1.0f64.to_bits(),
-            observed_rate_bits: 90.0f64.to_bits(),
-            beat_in_quantum: 0,
-        };
+        assert_eq!(header.read_decision(), DecisionRead::Ready(nan));
         header.publish_warm_state(state);
-        assert_eq!(header.warm_seq.load(Ordering::Relaxed) & 1, 0);
+        header.reset_decision();
+        assert_eq!(header.read_decision(), DecisionRead::Empty);
         assert_eq!(header.read_warm_state(), WarmRead::Ready(state));
     }
 

@@ -3,24 +3,26 @@
 //! The Application Heartbeats interface is explicitly *cross-process*: an
 //! instrumented application emits beats into a shared-memory region that an
 //! external controller (the PowerDial daemon) attaches to and reads. The
-//! in-heap SPSC rings of [`crate::channel`] implement the protocol within
-//! one process; this module family backs the same wait-free protocol with
-//! an actual shared mapping so the producer and consumer may be different
-//! OS processes:
+//! in-heap SPSC rings of [`crate::channel`] run the crate's one wait-free
+//! ring protocol within one process; this module family instantiates the
+//! same protocol over an actual shared mapping so the producer and consumer
+//! may be different OS processes:
 //!
 //! * [`layout`] — the stable, versioned `#[repr(C)]` segment ABI: a
 //!   [`SegmentHeader`] (magic, ABI version, geometry, producer/consumer
 //!   PIDs, cache-line-isolated head/tail atomics) followed by a
 //!   fixed-stride slot array of [`ShmBeatSample`] records;
+//! * [`seqlock`] — [`SeqBlock`], the one seqlock both daemon-owned blocks
+//!   of the header (decision, warm-start) are instances of;
 //! * [`segment`] — creating and mapping segments: `memfd_create` + `mmap`
 //!   on Linux (`shm-memfd` feature), a tmpfile mapping on any Unix
 //!   (attachable by path from unrelated processes), and a feature-gated
 //!   in-memory fake (`shm-fake`) so the protocol logic is testable on any
 //!   platform;
-//! * [`transport`] — [`ShmProducer`] / [`ShmConsumer`]: the wait-free
-//!   `try_push` / batched `drain_into` protocol over the mapped atomics,
-//!   plus the attach-time handshake, peer liveness, and the decision
-//!   read-back path;
+//! * [`transport`] — [`ShmProducer`] / [`ShmConsumer`]: the ring
+//!   instantiated over the mapped atomics (wait-free `try_push`, batched
+//!   `drain_into`), plus the attach-time handshake, peer liveness, and the
+//!   decision read-back path;
 //! * [`fdpass`] — `SCM_RIGHTS` fd passing and the hello wire protocol the
 //!   attach broker (`powerdial-control`) and `powerdial-client` speak;
 //! * [`process`] — fork/wait helpers for the cross-process tests and the
@@ -35,12 +37,10 @@
 //!             producer_nonce                      ── control block
 //! offset 128  head  (consumer-owned cache line)
 //! offset 256  tail  (producer-owned cache line)
-//! offset 384  decision block (consumer-owned cache line):
-//!             decision_seq, decision_point, decision_gain_bits,
-//!             decision_speedup_bits, decision_qos_bits
-//! offset 424  warm-start block (reserved-region extension):
-//!             warm_seq, warm_point, warm_speedup_bits,
-//!             warm_rate_bits, warm_beat_in_quantum
+//! offset 384  decision: SeqBlock (consumer-owned cache line) —
+//!             seq, then point, gain, achieved speedup, QoS loss
+//! offset 424  warm: SeqBlock (reserved-region extension) —
+//!             seq, then point, speedup, observed rate, beat in quantum
 //! offset 512  slot[0], slot[1], …, slot[capacity-1]   (fixed stride)
 //! ```
 //!
@@ -65,9 +65,10 @@
 //! post-claim nonce store just sees the zero-nonce fallback.
 //!
 //! **Decision block.** Decisions flow controller → application through a
-//! consumer-owned cache line published under a seqlock: `decision_seq` is
-//! a version counter (0 = never published, odd = write in progress, even
-//! ≥ 2 = consistent), and the payload is the controller's current
+//! consumer-owned cache line published under a seqlock ([`SeqBlock`]):
+//! `decision.seq` is a version counter (0 = never published, odd = write
+//! in progress, even ≥ 2 = consistent), and the payload is the controller's
+//! current
 //! [`layout::ShmDecision`] — knob point index plus gain, achieved
 //! speedup, and expected QoS loss as raw `f64` bit patterns, so a decision
 //! read via shm is bit-identical to the in-process `DecisionView`. The
@@ -75,7 +76,7 @@
 //! release-fences, stores the payload, then release-stores the even
 //! successor; it also repairs the parity a predecessor that died
 //! mid-publish left behind. The reader ([`ShmProducer::read_decision`])
-//! is wait-free with [`layout::DECISION_READ_RETRIES`] bounded retries
+//! is wait-free with [`DECISION_READ_RETRIES`] bounded retries
 //! and returns a typed [`layout::DecisionRead`]: `Empty` (never
 //! published), `Ready` (a consistent snapshot — both counter reads agree
 //! around an acquire fence), or `Torn` (a writer died mid-publish or the
@@ -188,6 +189,7 @@ pub mod fdpass;
 pub mod layout;
 pub mod process;
 pub mod segment;
+pub mod seqlock;
 pub mod transport;
 
 pub use error::{PeerRole, PeerState, ShmError};
@@ -197,12 +199,12 @@ pub use fdpass::{
 };
 pub use layout::{
     DecisionRead, SegmentGeometry, SegmentHeader, ShmBeatSample, ShmDecision, ShmWarmState,
-    WarmRead, DECISION_READ_RETRIES, DEFAULT_SLOT_STRIDE, SEGMENT_ABI_VERSION, SEGMENT_HEADER_LEN,
-    SEGMENT_MAGIC,
+    WarmRead, DEFAULT_SLOT_STRIDE, SEGMENT_ABI_VERSION, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
 };
 pub use segment::{
     current_pid, jittered_backoff, pid_alive, process_start_nonce, BackingKind, Segment,
 };
+pub use seqlock::{SeqBlock, SeqRead, DECISION_READ_RETRIES};
 pub use transport::{ShmConsumer, ShmPeerProbe, ShmProducer};
 
 #[cfg(target_os = "linux")]

@@ -1,16 +1,21 @@
 //! The wait-free SPSC beat protocol over a mapped segment.
 //!
-//! [`ShmProducer`] and [`ShmConsumer`] reimplement the in-heap
-//! [`crate::channel`] protocol — wait-free `try_push`, batched
-//! `drain_into` — with the head/tail atomics and the slot array living in
-//! the shared mapping instead of this process's heap, so the two halves
-//! may run in *different processes*.
+//! [`ShmProducer`] and [`ShmConsumer`] are the crate's one SPSC ring — the
+//! same position protocol as the in-heap [`crate::channel`], wait-free
+//! `try_push` and batched `drain_into` — instantiated over a [`Segment`]:
+//! the head/tail atomics and the slot array live in the shared mapping
+//! instead of this process's heap, so the two halves may run in *different
+//! processes*. This module adds only what is cross-process: the attach
+//! handshake, peer liveness, and the decision/warm-state accessors.
 //!
 //! # Attach handshake
 //!
 //! Attaching validates magic, ABI version, geometry, and mapping size
-//! ([`SegmentHeader::validate`]), then claims the role by compare-and-swap
-//! of the role's PID field from 0 to the caller's PID:
+//! ([`SegmentHeader::validate`]), refuses a header whose geometry no longer
+//! is the one the mapping was made with (every slot address comes from
+//! [`Segment::geometry`], so that is the only geometry a handle may index
+//! with), then claims the role by compare-and-swap of the role's PID field
+//! from 0 to the caller's PID:
 //!
 //! * claimed by a **live** process → [`ShmError::RoleClaimed`] (a segment
 //!   carries exactly one producer and one consumer);
@@ -48,7 +53,7 @@
 //! it back with [`ShmProducer::read_decision`] — seqlock-protected, so
 //! reads are wait-free and a torn snapshot is *reported*
 //! ([`DecisionRead::Torn`]), never silently returned. See
-//! [`crate::shm::layout`] for the protocol.
+//! [`crate::shm::seqlock`] for the protocol.
 //!
 //! # Safety argument
 //!
@@ -58,11 +63,12 @@
 //! of `tail`. Records are plain `u64` triples ([`ShmBeatSample`]), so even
 //! a torn or scribbled slot decodes to a harmless garbage *value*, never
 //! undefined behaviour. Counters read from the header are clamped before
-//! use ([`ShmConsumer::drain_into`]) so a hostile peer cannot induce
-//! out-of-bounds access or unbounded allocation. The `shm` test suite
+//! use (`drain_into`, `pending`, `in_flight`) so a hostile peer cannot
+//! induce out-of-bounds access or unbounded allocation. The `shm` test suite
 //! (fork, fault-injection, property tests) exercises exactly these claims.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::channel::BeatSample;
@@ -71,106 +77,136 @@ use crate::shm::layout::{
     DecisionRead, SegmentHeader, ShmBeatSample, ShmDecision, ShmWarmState, WarmRead,
 };
 use crate::shm::segment::{current_pid, pid_alive, process_start_nonce, Segment};
+use crate::spsc::{self, Storage};
 
-/// Validates a segment for *typed* [`ShmBeatSample`] access: on top of the
-/// generic header checks, the recorded `record_size` must be exactly this
-/// build's sample size — a segment written with a different record revision
-/// (header says 16-byte records, we read/write 24) would otherwise pass the
-/// generic geometry checks and let the fixed-size slot accesses overlap
-/// neighboring slots or run past the mapping.
-fn validate_for_beat_samples(
-    segment: &Segment,
-) -> Result<crate::shm::layout::SegmentGeometry, ShmError> {
-    let geometry = segment.validate()?;
-    let expected = std::mem::size_of::<ShmBeatSample>() as u64;
-    if geometry.record_size() != expected {
-        return Err(ShmError::GeometryMismatch {
-            field: "record_size",
-            found: geometry.record_size(),
-            expected,
-        });
+/// The mapped storage of the ring: a segment that passed attach-time
+/// validation. Positions live in the header, slots are accessed as
+/// per-word relaxed atomics, and the capacity is the header's power-of-two
+/// slot count — all addressed through the geometry the mapping was made
+/// with ([`Segment::geometry`]), never a later re-read of the header.
+/// Opaque; it only names the instantiation behind [`ShmProducer`] and
+/// [`ShmConsumer`].
+#[derive(Debug)]
+pub struct MappedRing(Arc<Segment>);
+
+impl MappedRing {
+    /// Validates a segment for typed ring access: the generic header
+    /// checks, then the two that make the fixed-size, geometry-cached slot
+    /// accesses of the [`Storage`] impl sound. The recorded `record_size`
+    /// must be exactly this build's sample size — a segment written with a
+    /// different record revision (header says 16-byte records, we
+    /// read/write 24) would otherwise let slot accesses overlap neighboring
+    /// slots or run past the mapping. And the header must still describe
+    /// the geometry the mapping was made with: one rewritten since to a
+    /// different but self-consistent geometry would have a handle trust a
+    /// geometry it does not address with.
+    fn validated(segment: Arc<Segment>) -> Result<Self, ShmError> {
+        let found = segment.validate()?;
+        let mapped = segment.geometry();
+        let record_size = std::mem::size_of::<ShmBeatSample>() as u64;
+        for (field, found, expected) in [
+            ("record_size", found.record_size(), record_size),
+            ("capacity", found.capacity(), mapped.capacity()),
+            ("slot_stride", found.slot_stride(), mapped.slot_stride()),
+        ] {
+            if found != expected {
+                return Err(ShmError::GeometryMismatch {
+                    field,
+                    found,
+                    expected,
+                });
+            }
+        }
+        Ok(MappedRing(segment))
     }
-    Ok(geometry)
 }
 
-/// Claims `role`'s PID slot for this process. Contested producer claims
-/// are liveness-checked with the start nonce (a recycled-PID claimant is a
-/// dead peer, not a live rival); consumer claims carry no nonce.
-fn claim(header: &SegmentHeader, role: PeerRole) -> Result<u32, ShmError> {
+impl Storage<BeatSample> for MappedRing {
+    #[inline]
+    fn head(&self) -> &AtomicU64 {
+        &self.0.header().head
+    }
+
+    #[inline]
+    fn tail(&self) -> &AtomicU64 {
+        &self.0.header().tail
+    }
+
+    #[inline]
+    fn capacity(&self) -> u64 {
+        self.0.geometry().capacity()
+    }
+
+    #[inline]
+    unsafe fn write(&self, position: u64, sample: BeatSample) {
+        let slot = self.0.slot_ptr(position & self.0.geometry().mask());
+        // SAFETY: the slot pointer is in bounds for `record_size` (== 24)
+        // bytes and 8-aligned by the mapping's geometry, which `validated`
+        // checked. The store is atomic per word, so even a
+        // protocol-violating peer racing on the slot is a torn *value*,
+        // not UB.
+        unsafe { ShmBeatSample::from_sample(sample).store_to(slot) };
+    }
+
+    #[inline]
+    unsafe fn read(&self, position: u64) -> BeatSample {
+        let slot = self.0.slot_ptr(position & self.0.geometry().mask());
+        // SAFETY: as in `write`; per-word atomic loads keep a
+        // protocol-violating peer a garbage value, not a data race.
+        unsafe { ShmBeatSample::load_from(slot) }.to_sample()
+    }
+}
+
+/// Claims `role`'s PID slot for this process by compare-and-swap from 0.
+/// A contested slot refuses with [`ShmError::RoleClaimed`] while its
+/// claimant is alive — producer claims are liveness-checked with the start
+/// nonce (a recycled-PID claimant is a dead peer, not a live rival),
+/// consumer claims carry no nonce — and with [`ShmError::DeadPeer`] once it
+/// is dead, unless `adopt_dead`.
+///
+/// `adopt_dead` is the recovery path for a daemon that was SIGKILLed with
+/// its `Drop` never running: the slot is compare-and-swapped from the
+/// *observed* stale PID to ours, which makes racing successors safe —
+/// exactly one wins, the losers see the winner's live PID. Adoption never
+/// steals from a running claimant.
+fn claim(header: &SegmentHeader, role: PeerRole, adopt_dead: bool) -> Result<u32, ShmError> {
     let pid = current_pid();
     let slot = match role {
         PeerRole::Producer => &header.producer_pid,
         PeerRole::Consumer => &header.consumer_pid,
     };
-    match slot.compare_exchange(0, pid, Ordering::AcqRel, Ordering::Acquire) {
-        Ok(_) => Ok(pid),
-        Err(existing) => {
-            let alive = match role {
-                PeerRole::Producer => producer_state_of(header).is_alive(),
-                PeerRole::Consumer => pid_alive(existing),
-            };
-            if alive {
-                Err(ShmError::RoleClaimed {
-                    role,
-                    pid: existing,
-                })
-            } else {
-                Err(ShmError::DeadPeer {
-                    role,
-                    pid: existing,
-                })
-            }
-        }
-    }
-}
-
-/// Claims the *consumer* PID slot for this process, adopting over a dead
-/// claimant: the recovery path for a daemon that was SIGKILLed with its
-/// `Drop` never running. A free slot is claimed normally; a slot held by a
-/// dead process is compare-and-swapped from the observed stale PID to
-/// ours; a live claimant still refuses with [`ShmError::RoleClaimed`]
-/// (adoption never steals from a running daemon). The CAS from the
-/// *observed* stale value makes racing successor daemons safe: exactly one
-/// wins, the losers see the winner's live PID.
-fn claim_consumer_adopting(header: &SegmentHeader) -> Result<u32, ShmError> {
-    let pid = current_pid();
-    let slot = &header.consumer_pid;
+    let mut expected = 0;
     loop {
-        let existing = slot.load(Ordering::Acquire);
-        if existing == 0 {
-            match slot.compare_exchange(0, pid, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Ok(pid),
-                Err(_) => continue,
-            }
-        }
-        if pid_alive(existing) {
-            return Err(ShmError::RoleClaimed {
-                role: PeerRole::Consumer,
-                pid: existing,
-            });
-        }
-        match slot.compare_exchange(existing, pid, Ordering::AcqRel, Ordering::Acquire) {
+        match slot.compare_exchange(expected, pid, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => return Ok(pid),
-            Err(_) => continue,
+            // Released since we looked: claim it like a free slot.
+            Err(0) => expected = 0,
+            Err(existing) => {
+                let alive = match role {
+                    PeerRole::Producer => producer_state_of(header).is_alive(),
+                    PeerRole::Consumer => pid_alive(existing),
+                };
+                if alive {
+                    return Err(ShmError::RoleClaimed {
+                        role,
+                        pid: existing,
+                    });
+                }
+                if !adopt_dead {
+                    return Err(ShmError::DeadPeer {
+                        role,
+                        pid: existing,
+                    });
+                }
+                expected = existing;
+            }
         }
     }
 }
 
-/// Records between two monotone ring positions, clamped to `[0, capacity]`.
-///
-/// Positions never legitimately run backwards or diverge by more than the
-/// capacity (they are u64s that would take centuries to wrap), so anything
-/// outside that envelope is a corrupt or hostile header: a `to` behind
-/// `from` reads as empty, a `to` absurdly far ahead reads as a full ring.
-/// Either way the result bounds every subsequent slot access and
-/// allocation.
-#[deny(clippy::arithmetic_side_effects)]
-fn clamped_distance(from: u64, to: u64, capacity: u64) -> u64 {
-    if to >= from {
-        to.wrapping_sub(from).min(capacity)
-    } else {
-        0
-    }
+/// Releases a claim: clears the PID slot if it still holds `pid`.
+fn release(slot: &AtomicU32, pid: u32) {
+    let _ = slot.compare_exchange(pid, 0, Ordering::AcqRel, Ordering::Relaxed);
 }
 
 /// Liveness of a claimed PID slot.
@@ -189,47 +225,37 @@ fn peer_state(slot: &AtomicU32) -> PeerState {
 /// recorded, pre-nonce attacher, or `/proc` unavailable at claim time)
 /// falls back to plain `kill(pid, 0)` liveness.
 fn producer_state_of(header: &SegmentHeader) -> PeerState {
-    let pid = header.producer_pid.load(Ordering::Acquire);
-    if pid == 0 {
-        return PeerState::Absent;
-    }
-    if !pid_alive(pid) {
-        return PeerState::Dead(pid);
-    }
-    let nonce = header.producer_nonce.load(Ordering::Acquire);
-    if nonce != 0 {
-        if let Some(actual) = process_start_nonce(pid) {
-            if actual != nonce {
-                return PeerState::Dead(pid);
-            }
+    let state = peer_state(&header.producer_pid);
+    if let PeerState::Alive(pid) = state {
+        let nonce = header.producer_nonce.load(Ordering::Acquire);
+        if nonce != 0 && process_start_nonce(pid).is_some_and(|actual| actual != nonce) {
+            return PeerState::Dead(pid);
         }
     }
-    PeerState::Alive(pid)
+    state
 }
 
-/// The producer (application) half of a shared-memory beat segment.
-///
-/// Mirrors [`crate::channel::Producer`]: `try_push` is wait-free — one
-/// compare against a locally cached consumer position, one slot write, one
-/// release store — and never blocks, spins, syscalls, or allocates.
+/// The producer (application) half of a shared-memory beat segment: the
+/// ring's [`spsc::Producer`] over the mapping (reached by deref —
+/// `try_push`, `pushed`, `rejected`, `in_flight`, `capacity`) plus this
+/// process's claim on the producer role.
+#[derive(Debug)]
 pub struct ShmProducer {
-    segment: Arc<Segment>,
+    ring: spsc::Producer<BeatSample, MappedRing>,
     pid: u32,
-    tail: u64,
-    cached_head: u64,
-    rejected: u64,
-    capacity: u64,
-    mask: u64,
 }
 
-impl std::fmt::Debug for ShmProducer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShmProducer")
-            .field("pid", &self.pid)
-            .field("pushed", &self.tail)
-            .field("rejected", &self.rejected)
-            .field("capacity", &self.capacity)
-            .finish()
+impl Deref for ShmProducer {
+    type Target = spsc::Producer<BeatSample, MappedRing>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.ring
+    }
+}
+
+impl DerefMut for ShmProducer {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.ring
     }
 }
 
@@ -244,15 +270,16 @@ impl ShmProducer {
     ///
     /// Any [`SegmentHeader::validate`] error,
     /// [`ShmError::GeometryMismatch`] for a segment whose record size is
-    /// not this build's [`ShmBeatSample`], [`ShmError::RoleClaimed`] when
-    /// a live producer is attached, or [`ShmError::DeadPeer`] when a dead
+    /// not this build's [`ShmBeatSample`] or whose header no longer
+    /// matches the mapping's geometry, [`ShmError::RoleClaimed`] when a
+    /// live producer is attached, or [`ShmError::DeadPeer`] when a dead
     /// one left its stale PID behind.
     ///
     /// [`SegmentHeader::validate`]: crate::shm::layout::SegmentHeader::validate
     pub fn attach(segment: Arc<Segment>) -> Result<Self, ShmError> {
-        let geometry = validate_for_beat_samples(&segment)?;
-        let header = segment.header();
-        let pid = claim(header, PeerRole::Producer)?;
+        let ring = MappedRing::validated(segment)?;
+        let header = ring.0.header();
+        let pid = claim(header, PeerRole::Producer, false)?;
         // Record this process's start nonce so a recycled PID can never
         // masquerade as us (ABI v2). The slot is guaranteed 0 here: both
         // `initialize` and `detach` zero it before the PID becomes
@@ -262,81 +289,20 @@ impl ShmProducer {
         header
             .producer_nonce
             .store(process_start_nonce(pid).unwrap_or(0), Ordering::Release);
-        let tail = header.tail.load(Ordering::Acquire);
-        let cached_head = header.head.load(Ordering::Acquire);
         Ok(ShmProducer {
+            ring: spsc::Producer::new(ring),
             pid,
-            tail,
-            cached_head,
-            rejected: 0,
-            capacity: geometry.capacity(),
-            mask: geometry.mask(),
-            segment,
         })
-    }
-
-    /// Attempts to push one beat. Wait-free; on a full ring the beat is
-    /// rejected (backpressure) and returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the record back when the ring is full.
-    #[inline]
-    #[deny(clippy::arithmetic_side_effects)]
-    pub fn try_push(&mut self, sample: BeatSample) -> Result<(), BeatSample> {
-        let header = self.segment.header();
-        if self.tail.wrapping_sub(self.cached_head) >= self.capacity {
-            self.cached_head = header.head.load(Ordering::Acquire);
-            if self.tail.wrapping_sub(self.cached_head) >= self.capacity {
-                self.rejected = self.rejected.saturating_add(1);
-                return Err(sample);
-            }
-        }
-        let slot = self.segment.slot_ptr(self.tail & self.mask);
-        // SAFETY: the slot pointer is in bounds for `record_size` (== 24)
-        // bytes and 8-aligned by the validated geometry; positions in
-        // [head, head+capacity) ∋ tail are exclusively producer-owned
-        // until the release store below publishes them. The store itself
-        // is atomic per word, so even a protocol-violating peer racing on
-        // the slot is a torn *value*, not UB.
-        unsafe { ShmBeatSample::from_sample(sample).store_to(slot) };
-        self.tail = self.tail.wrapping_add(1);
-        header.tail.store(self.tail, Ordering::Release);
-        Ok(())
-    }
-
-    /// Total beats successfully pushed through this handle's segment
-    /// (the segment's monotone producer position).
-    pub fn pushed(&self) -> u64 {
-        self.tail
-    }
-
-    /// Pushes rejected by this handle because the ring was full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Beats currently in flight (pushed but not yet drained). Clamped to
-    /// `[0, capacity]` even if a corrupt consumer published a nonsense
-    /// `head`.
-    pub fn in_flight(&self) -> u64 {
-        let head = self.segment.header().head.load(Ordering::Acquire);
-        clamped_distance(head, self.tail, self.capacity)
-    }
-
-    /// The ring capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
     }
 
     /// Liveness of the consumer side.
     pub fn consumer_state(&self) -> PeerState {
-        peer_state(&self.segment.header().consumer_pid)
+        peer_state(&self.segment().header().consumer_pid)
     }
 
     /// The underlying segment.
     pub fn segment(&self) -> &Arc<Segment> {
-        &self.segment
+        &self.ring.storage().0
     }
 
     /// Releases the producer role so another same-process (or
@@ -348,14 +314,11 @@ impl ShmProducer {
     /// the controller's reaper, exactly like a crash. Only an explicit
     /// `detach` declares "the stream continues under a new producer".
     pub fn detach(self) {
-        let header = self.segment.header();
+        let header = self.segment().header();
         // Nonce first, then PID: the claim protocol relies on the nonce
         // slot being 0 whenever the PID slot is CAS-able.
         header.producer_nonce.store(0, Ordering::Release);
-        let _ =
-            header
-                .producer_pid
-                .compare_exchange(self.pid, 0, Ordering::AcqRel, Ordering::Relaxed);
+        release(&header.producer_pid, self.pid);
     }
 
     /// Reads the controller's current decision (ABI v2 decision block).
@@ -365,30 +328,31 @@ impl ShmProducer {
     /// [`DecisionRead::Torn`] — never a half-written decision presented as
     /// whole.
     pub fn read_decision(&self) -> DecisionRead {
-        self.segment.header().read_decision()
+        self.segment().header().read_decision()
     }
 }
 
-/// The consumer (controller) half of a shared-memory beat segment.
-///
-/// Mirrors [`crate::channel::Consumer`]: `drain_into` takes every pending
-/// record in one batch into a caller-owned scratch buffer, paying the
-/// cross-process synchronization once per actuation quantum.
+/// The consumer (controller) half of a shared-memory beat segment: the
+/// ring's [`spsc::Consumer`] over the mapping (reached by deref —
+/// `drain_into`, `drain_into_capped`, `pending`, `is_empty`, `drained`,
+/// `capacity`) plus this process's claim on the consumer role.
+#[derive(Debug)]
 pub struct ShmConsumer {
-    segment: Arc<Segment>,
+    ring: spsc::Consumer<BeatSample, MappedRing>,
     pid: u32,
-    head: u64,
-    capacity: u64,
-    mask: u64,
 }
 
-impl std::fmt::Debug for ShmConsumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShmConsumer")
-            .field("pid", &self.pid)
-            .field("drained", &self.head)
-            .field("capacity", &self.capacity)
-            .finish()
+impl Deref for ShmConsumer {
+    type Target = spsc::Consumer<BeatSample, MappedRing>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.ring
+    }
+}
+
+impl DerefMut for ShmConsumer {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.ring
     }
 }
 
@@ -400,31 +364,16 @@ impl ShmConsumer {
     ///
     /// Any [`SegmentHeader::validate`] error;
     /// [`ShmError::GeometryMismatch`] for a segment whose record size is
-    /// not this build's [`ShmBeatSample`]; [`ShmError::DeadPeer`] when
-    /// the producer slot holds a stale PID (attaching to a stream that can
+    /// not this build's [`ShmBeatSample`] or whose header no longer
+    /// matches the mapping's geometry; [`ShmError::DeadPeer`] when the
+    /// producer slot holds a stale PID (attaching to a stream that can
     /// never complete is always a mistake — reap the segment instead);
     /// [`ShmError::RoleClaimed`] / [`ShmError::DeadPeer`] for the consumer
     /// slot itself.
     ///
     /// [`SegmentHeader::validate`]: crate::shm::layout::SegmentHeader::validate
     pub fn attach(segment: Arc<Segment>) -> Result<Self, ShmError> {
-        let geometry = validate_for_beat_samples(&segment)?;
-        let header = segment.header();
-        if let PeerState::Dead(pid) = producer_state_of(header) {
-            return Err(ShmError::DeadPeer {
-                role: PeerRole::Producer,
-                pid,
-            });
-        }
-        let pid = claim(header, PeerRole::Consumer)?;
-        let head = header.head.load(Ordering::Acquire);
-        Ok(ShmConsumer {
-            pid,
-            head,
-            capacity: geometry.capacity(),
-            mask: geometry.mask(),
-            segment,
-        })
+        Self::attach_with(segment, false)
     }
 
     /// Validates a *foreign* segment (handed back by a surviving client)
@@ -450,104 +399,25 @@ impl ShmConsumer {
     ///
     /// [`SegmentHeader::validate`]: crate::shm::layout::SegmentHeader::validate
     pub fn adopt(segment: Arc<Segment>) -> Result<Self, ShmError> {
-        let geometry = validate_for_beat_samples(&segment)?;
-        let header = segment.header();
+        Self::attach_with(segment, true)
+    }
+
+    /// The body of [`attach`](Self::attach) and [`adopt`](Self::adopt),
+    /// which differ only in whether a dead consumer claim is taken over.
+    fn attach_with(segment: Arc<Segment>, adopt_dead: bool) -> Result<Self, ShmError> {
+        let ring = MappedRing::validated(segment)?;
+        let header = ring.0.header();
         if let PeerState::Dead(pid) = producer_state_of(header) {
             return Err(ShmError::DeadPeer {
                 role: PeerRole::Producer,
                 pid,
             });
         }
-        let pid = claim_consumer_adopting(header)?;
-        let head = header.head.load(Ordering::Acquire);
+        let pid = claim(header, PeerRole::Consumer, adopt_dead)?;
         Ok(ShmConsumer {
+            ring: spsc::Consumer::new(ring),
             pid,
-            head,
-            capacity: geometry.capacity(),
-            mask: geometry.mask(),
-            segment,
         })
-    }
-
-    /// Drains every pending beat into `out` (cleared first), oldest first,
-    /// and returns how many were drained.
-    ///
-    /// `out` grows to at most the ring capacity and is never reallocated
-    /// after that — the steady-state drain performs no heap allocation.
-    /// The published `tail` is clamped to `[head, head+capacity]` before
-    /// use, so a corrupt or hostile producer can at worst deliver garbage
-    /// records, never drive reads out of bounds or force unbounded
-    /// allocation.
-    pub fn drain_into(&mut self, out: &mut Vec<BeatSample>) -> usize {
-        self.drain_into_capped(out, usize::MAX)
-    }
-
-    /// Drains at most `cap` pending beats into `out` (cleared first),
-    /// oldest first, and returns how many were drained; the rest stay in
-    /// the ring for the next drain. Same safety and allocation contract
-    /// as [`drain_into`](ShmConsumer::drain_into).
-    #[deny(clippy::arithmetic_side_effects)]
-    pub fn drain_into_capped(&mut self, out: &mut Vec<BeatSample>, cap: usize) -> usize {
-        out.clear();
-        let header = self.segment.header();
-        let tail = header.tail.load(Ordering::Acquire);
-        let available = (clamped_distance(self.head, tail, self.capacity) as usize).min(cap);
-        if available == 0 {
-            return 0;
-        }
-        out.reserve(available);
-        for offset in 0..available as u64 {
-            let position = self.head.wrapping_add(offset);
-            let slot = self.segment.slot_ptr(position & self.mask);
-            // SAFETY: slot pointer in bounds and 8-aligned by validated
-            // geometry; positions in [head, tail) were published by the
-            // producer's release store of `tail`, which the acquire load
-            // above synchronized with. Per-word atomic loads keep a
-            // protocol-violating peer a garbage value, not a data race.
-            let record = unsafe { ShmBeatSample::load_from(slot) };
-            out.push(record.to_sample());
-        }
-        self.head = self.head.wrapping_add(available as u64);
-        header.head.store(self.head, Ordering::Release);
-        available
-    }
-
-    /// Pops a single pending beat, oldest first.
-    #[deny(clippy::arithmetic_side_effects)]
-    pub fn try_pop(&mut self) -> Option<BeatSample> {
-        let header = self.segment.header();
-        let tail = header.tail.load(Ordering::Acquire);
-        if clamped_distance(self.head, tail, self.capacity) == 0 {
-            return None;
-        }
-        let slot = self.segment.slot_ptr(self.head & self.mask);
-        // SAFETY: as in `drain_into`.
-        let record = unsafe { ShmBeatSample::load_from(slot) };
-        self.head = self.head.wrapping_add(1);
-        header.head.store(self.head, Ordering::Release);
-        Some(record.to_sample())
-    }
-
-    /// Beats currently pending (clamped to `[0, capacity]`).
-    pub fn pending(&self) -> usize {
-        let tail = self.segment.header().tail.load(Ordering::Acquire);
-        clamped_distance(self.head, tail, self.capacity) as usize
-    }
-
-    /// True when no beats are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Total beats drained through this segment (the monotone consumer
-    /// position).
-    pub fn drained(&self) -> u64 {
-        self.head
-    }
-
-    /// The ring capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
     }
 
     /// Liveness of the producer side: the signal the reap protocol acts
@@ -555,33 +425,33 @@ impl ShmConsumer {
     /// or not) without detaching — including the recycled-PID case, which
     /// the ABI v2 start nonce unmasks.
     pub fn producer_state(&self) -> PeerState {
-        producer_state_of(self.segment.header())
+        producer_state_of(self.segment().header())
     }
 
     /// Publishes a decision for the producer side to read back (ABI v2
     /// decision block, seqlock-protected).
     pub fn publish_decision(&self, decision: ShmDecision) {
-        self.segment.header().publish_decision(decision);
+        self.segment().header().publish_decision(decision);
     }
 
     /// Resets the decision block to the never-published state. Part of
     /// the reap protocol: a reaped app's stale decision must not leak to
     /// the segment's next tenant.
     pub fn reset_decision(&self) {
-        self.segment.header().reset_decision();
+        self.segment().header().reset_decision();
     }
 
     /// Publishes the controller warm-start state (reserved-region seqlock
     /// block) for a successor daemon to resume from after a crash.
     pub fn publish_warm_state(&self, state: ShmWarmState) {
-        self.segment.header().publish_warm_state(state);
+        self.segment().header().publish_warm_state(state);
     }
 
     /// Reads the warm-start state a dead predecessor left behind. Wait-free;
     /// [`WarmRead::Torn`] means the predecessor died mid-publish and the
     /// successor starts cold.
     pub fn read_warm_state(&self) -> WarmRead {
-        self.segment.header().read_warm_state()
+        self.segment().header().read_warm_state()
     }
 
     /// Resets the warm-start block to the never-published state. Part of
@@ -589,12 +459,12 @@ impl ShmConsumer {
     /// segment must not warm-start a fresh app's controller from a dead
     /// app's trajectory.
     pub fn reset_warm_state(&self) {
-        self.segment.header().reset_warm_state();
+        self.segment().header().reset_warm_state();
     }
 
     /// The underlying segment.
     pub fn segment(&self) -> &Arc<Segment> {
-        &self.segment
+        &self.ring.storage().0
     }
 
     /// A cheap handle for liveness/occupancy probes of this segment that
@@ -602,8 +472,7 @@ impl ShmConsumer {
     /// the consumer itself sits in a worker shard).
     pub fn probe(&self) -> ShmPeerProbe {
         ShmPeerProbe {
-            segment: Arc::clone(&self.segment),
-            capacity: self.capacity,
+            segment: Arc::clone(self.segment()),
         }
     }
 
@@ -621,30 +490,7 @@ impl Drop for ShmConsumer {
     /// process still leaves its stale PID behind (drops never ran), which
     /// the next attacher observes as [`ShmError::DeadPeer`].
     fn drop(&mut self) {
-        let _ = self.segment.header().consumer_pid.compare_exchange(
-            self.pid,
-            0,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
-    }
-}
-
-impl crate::channel::BeatTransport for ShmConsumer {
-    fn drain_into(&mut self, out: &mut Vec<BeatSample>) -> usize {
-        ShmConsumer::drain_into(self, out)
-    }
-
-    fn drain_into_capped(&mut self, out: &mut Vec<BeatSample>, cap: usize) -> usize {
-        ShmConsumer::drain_into_capped(self, out, cap)
-    }
-
-    fn pending(&self) -> usize {
-        ShmConsumer::pending(self)
-    }
-
-    fn capacity(&self) -> usize {
-        ShmConsumer::capacity(self)
+        release(&self.segment().header().consumer_pid, self.pid);
     }
 }
 
@@ -652,7 +498,6 @@ impl crate::channel::BeatTransport for ShmConsumer {
 #[derive(Debug, Clone)]
 pub struct ShmPeerProbe {
     segment: Arc<Segment>,
-    capacity: u64,
 }
 
 impl ShmPeerProbe {
@@ -682,7 +527,7 @@ impl ShmPeerProbe {
         let header = self.segment.header();
         let head = header.head.load(Ordering::Acquire);
         let tail = header.tail.load(Ordering::Acquire);
-        clamped_distance(head, tail, self.capacity) as usize
+        spsc::clamped_distance(head, tail, self.segment.geometry().capacity()) as usize
     }
 }
 
@@ -703,78 +548,6 @@ mod tests {
             timestamp: Timestamp::from_millis(tag * 40),
             latency: TimestampDelta::from_millis(if tag == 0 { 0 } else { 40 }),
         }
-    }
-
-    #[test]
-    fn push_then_drain_preserves_order_and_bits() {
-        let segment = segment(16);
-        let mut tx = ShmProducer::attach(Arc::clone(&segment)).unwrap();
-        let mut rx = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
-        for tag in 0..10 {
-            tx.try_push(sample(tag)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 10);
-        for (tag, record) in out.iter().enumerate() {
-            assert_eq!(*record, sample(tag as u64));
-        }
-        assert_eq!(rx.drain_into(&mut out), 0);
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn capped_drain_leaves_the_rest_queued() {
-        let segment = segment(16);
-        let mut tx = ShmProducer::attach(Arc::clone(&segment)).unwrap();
-        let mut rx = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
-        for tag in 0..10 {
-            tx.try_push(sample(tag)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into_capped(&mut out, 3), 3);
-        assert_eq!(out.last().unwrap().tag, HeartbeatTag(2));
-        assert_eq!(rx.pending(), 7);
-        assert_eq!(rx.drain_into_capped(&mut out, usize::MAX), 7);
-        assert_eq!(out.first().unwrap().tag, HeartbeatTag(3));
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn full_ring_rejects_and_counts() {
-        let segment = segment(4);
-        let mut tx = ShmProducer::attach(Arc::clone(&segment)).unwrap();
-        let mut rx = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
-        for tag in 0..4 {
-            tx.try_push(sample(tag)).unwrap();
-        }
-        assert!(tx.try_push(sample(99)).is_err());
-        assert_eq!(tx.rejected(), 1);
-        assert_eq!(tx.in_flight(), 4);
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 4);
-        tx.try_push(sample(4)).unwrap();
-        assert_eq!(rx.try_pop().unwrap().tag, HeartbeatTag(4));
-    }
-
-    #[test]
-    fn wraparound_keeps_fifo_order() {
-        let segment = segment(4);
-        let mut tx = ShmProducer::attach(Arc::clone(&segment)).unwrap();
-        let mut rx = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
-        let mut out = Vec::new();
-        let mut expected = 0u64;
-        for round in 0..100u64 {
-            for _ in 0..(1 + round % 4) {
-                tx.try_push(sample(tx.pushed())).unwrap();
-            }
-            rx.drain_into(&mut out);
-            for record in &out {
-                assert_eq!(record.tag.value(), expected);
-                expected += 1;
-            }
-        }
-        assert_eq!(tx.rejected(), 0);
-        assert_eq!(rx.drained(), expected);
     }
 
     #[test]
@@ -894,7 +667,6 @@ mod tests {
             .store(recorded.wrapping_add(1), Ordering::Release);
         let probe = ShmPeerProbe {
             segment: Arc::clone(&segment),
-            capacity: 8,
         };
         assert!(matches!(probe.producer_state(), PeerState::Dead(_)));
         // A fresh producer claim sees a dead peer (reap it), not a rival.

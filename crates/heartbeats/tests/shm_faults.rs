@@ -154,6 +154,53 @@ fn foreign_record_size_is_rejected_not_overrun() {
 }
 
 #[test]
+fn header_rewritten_to_another_consistent_geometry_is_rejected() {
+    // Slot addresses come from the geometry the mapping was made with, so
+    // a header rewritten since to a *different but self-consistent*
+    // geometry — a 24-byte stride still covers the 24-byte record and
+    // still fits the mapping — must not be trusted for capacity or mask:
+    // the handle would bound with one geometry and address with the other.
+    let segment = fresh_segment();
+    segment.header().slot_stride.store(24, Ordering::Release);
+    let mapped_stride = segment.geometry().slot_stride();
+    let attaches: [(&str, Result<(), ShmError>); 3] = [
+        (
+            "producer attach",
+            ShmProducer::attach(Arc::clone(&segment)).map(drop),
+        ),
+        (
+            "consumer attach",
+            ShmConsumer::attach(Arc::clone(&segment)).map(drop),
+        ),
+        (
+            "consumer adopt",
+            ShmConsumer::adopt(Arc::clone(&segment)).map(drop),
+        ),
+    ];
+    for (path, result) in attaches {
+        match result {
+            Err(ShmError::GeometryMismatch {
+                field: "slot_stride",
+                found,
+                expected,
+            }) => {
+                assert_eq!(found, 24, "{path}");
+                assert_eq!(expected, mapped_stride, "{path}");
+            }
+            other => panic!("{path}: expected GeometryMismatch, got {other:?}"),
+        }
+    }
+    // Nothing was claimed by the refused attaches, and restoring the
+    // header heals the segment.
+    segment
+        .header()
+        .slot_stride
+        .store(mapped_stride, Ordering::Release);
+    assert!(ShmProducer::attach(Arc::clone(&segment)).is_ok());
+    assert!(ShmConsumer::attach(Arc::clone(&segment)).is_ok());
+}
+
+#[test]
 fn consumer_attach_while_producer_dead_is_rejected() {
     let segment = fresh_segment();
     // A producer PID that cannot belong to a live process: the stream can

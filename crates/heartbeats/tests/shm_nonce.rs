@@ -44,8 +44,14 @@ fn live_forked_producer_reads_alive_then_dead_after_kill() {
     })
     .unwrap();
 
-    // Wait for the child's claim, then check the nonce went with it.
-    while segment.header().producer_pid.load(Ordering::Acquire) == 0 {
+    // Wait for the child's claim, then check the nonce went with it. The
+    // nonce is stored *after* the PID claim (a probe in between sees the
+    // zero-nonce fallback), so wait for it too: asserting on it right after
+    // the PID appears failed one run in forty and orphaned the spinning
+    // child, which hangs `cargo test`.
+    while segment.header().producer_pid.load(Ordering::Acquire) == 0
+        || segment.header().producer_nonce.load(Ordering::Acquire) == 0
+    {
         std::hint::spin_loop();
     }
     assert_eq!(consumer.producer_state(), PeerState::Alive(child.pid()));
