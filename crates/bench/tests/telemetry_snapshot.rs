@@ -93,6 +93,12 @@ fn snapshot_json_round_trips_through_the_strict_parser() {
     );
     assert!(num(fleet, "p50") <= num(fleet, "p99"));
 
+    // A fleet on in-heap channels has no producer process to watch.
+    let liveness = document.get("liveness").expect("liveness object");
+    for counter in ["watched_processes", "polled_apps", "death_events"] {
+        assert_eq!(num(liveness, counter), 0.0, "{counter}");
+    }
+
     // The decision trace carries boundary decisions with valid reasons.
     let trace = document
         .get("decision_trace")
@@ -221,6 +227,66 @@ fn snapshot_stays_sane_after_producer_sigkill_and_reap() {
     );
     // The surviving app's report is intact.
     assert!(views[1].beats_processed() > 0);
+}
+
+/// The reaper's cost is per producer *process*, not per segment — as a
+/// count, not a timing: 64 segments fed by one process hold exactly one
+/// watch (one pidfd), and none of them is probed by syscall.
+#[test]
+fn a_fleet_fed_by_one_process_holds_one_watch() {
+    let mut daemon = PowerDialDaemon::new(DaemonConfig {
+        workers: 2,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let runtime = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap());
+    let geometry = SegmentGeometry::for_beat_samples(64).unwrap();
+    let mut producers = Vec::new();
+    let mut views = Vec::new();
+    for _ in 0..64 {
+        let segment = Arc::new(Segment::create(geometry).unwrap());
+        producers.push(ShmProducer::attach(Arc::clone(&segment)).unwrap());
+        let consumer = ShmConsumer::attach(segment).unwrap();
+        views.push(
+            daemon
+                .register_shm(runtime, synthetic_knob_table(4), consumer)
+                .unwrap(),
+        );
+    }
+
+    let liveness = |daemon: &mut PowerDialDaemon| {
+        let json = daemon.telemetry_snapshot().to_json();
+        let document = Json::parse(&json).expect("snapshot JSON must satisfy the strict grammar");
+        let liveness = document.get("liveness").expect("liveness object");
+        (
+            num(liveness, "watched_processes"),
+            num(liveness, "polled_apps"),
+            num(liveness, "death_events"),
+        )
+    };
+    // Registration asks the kernel nothing; the first reap settles every
+    // claim, and finds them all naming this process.
+    assert_eq!(liveness(&mut daemon), (0.0, 0.0, 0.0));
+    daemon.tick();
+    assert!(daemon.reap_dead().is_empty());
+    if cfg!(target_os = "linux") {
+        assert_eq!(liveness(&mut daemon), (1.0, 0.0, 0.0));
+    } else {
+        assert_eq!(liveness(&mut daemon), (0.0, 64.0, 0.0));
+    }
+    assert!(daemon.reap_dead().is_empty());
+    assert_eq!(daemon.app_count(), 64);
+
+    // The watch is held for the apps, and goes with the last of them.
+    for (unregistered, view) in views.iter().enumerate() {
+        assert!(daemon.unregister(view.id()));
+        let watched = if cfg!(target_os = "linux") && unregistered < 63 {
+            1.0
+        } else {
+            0.0
+        };
+        assert_eq!(liveness(&mut daemon).0, watched);
+    }
 }
 
 #[test]

@@ -76,11 +76,6 @@ fn attach(
 
 /// Runs the daemon side — broker polling and actuation ticks — until the
 /// granted app's stream has delivered `target_beats`, returning its view.
-///
-/// Termination is on *beats processed*, never on reaping: a child that
-/// exited on its own is a zombie until `wait()`, and a zombie still
-/// passes PID liveness (its `/proc` entry lingers), so waiting for
-/// `reap_dead` here would spin forever.
 fn serve_until(
     broker: &mut AttachBroker,
     daemon: &mut PowerDialDaemon,
@@ -162,8 +157,6 @@ fn forked_client_attaches_beats_and_reads_boost_through_shm() {
     .unwrap();
 
     let view = serve_until(&mut broker, &mut daemon, CHILD_BEATS);
-    // Reap the OS zombie first — until then the PID liveness check
-    // rightly reads the child as not-yet-dead.
     assert_eq!(child.wait().unwrap(), ChildExit::Exited(0));
     assert_eq!(view.beats_processed(), CHILD_BEATS, "lossless delivery");
     assert!(view.latest_gain().unwrap() > 1.0);

@@ -98,6 +98,56 @@
 //! whether the worker is alive or dead (a dead worker's poisoned lock is
 //! recovered, the state under it being what the worker last saw).
 //!
+//! # The reap protocol: scan → event → dying
+//!
+//! An shm app whose producing process has died is *abandoned*: nothing
+//! will ever push to its ring again. [`PowerDialDaemon::reap_dead`], called
+//! once per serve-loop iteration after the tick, finds such apps and
+//! unregisters them once their last beats are drained. It sits on the
+//! reaction path of every live app, so what it does while nobody dies is
+//! what matters:
+//!
+//! * **Scan.** Per shm app, two relaxed loads of its segment's header —
+//!   the producer claim `(pid, start nonce)`
+//!   ([`ShmPeerProbe::producer_claim`]) — compared with the claim the
+//!   façade last settled on. Equal, which is every time but a handful,
+//!   means no detach, re-claim or scribble has happened and there is
+//!   nothing to do. A claim that appeared or changed is *settled*: the old
+//!   claimant's watch is given back and the new one is handed to the
+//!   daemon's [`ProcessWatch`] (`pidfd_open`, then one look at
+//!   `/proc/<pid>/stat`, so a PID recycled before anyone opened it, a
+//!   zombie and a PID that names nobody are all dead at once). Watches are
+//!   per *process* and refcounted: a fleet of 64 segments fed by one
+//!   process holds one pidfd. Registration itself asks the kernel nothing;
+//!   the first reap after it does.
+//! * **Event.** One `epoll_wait` with a zero timeout for the whole fleet,
+//!   whose cost does not depend on how many processes are watched — and no
+//!   epoll instance, hence no syscall, for a daemon with no shm app. An
+//!   exit is reported when it happens, not when the parent waits for the
+//!   zombie, and is fanned out to every app that watched the process.
+//! * **Dying.** An app whose claimant is dead stays *dying* until its ring
+//!   reads empty (the tail the producer managed to publish survives it, in
+//!   the segment) or is forfeit because the app is quarantined; then it is
+//!   reaped. While beats are pending its slot is woken out of idle-skip so
+//!   the next tick drains them. Only dying apps have their ring looked at.
+//!   The one way out of dying other than the reap is the claim changing
+//!   under it (a broker reusing the segment, a test un-scribbling it).
+//!
+//! **The fallback arm.** Where the kernel will not watch a claimant —
+//! `pidfd_open` is `ENOSYS` (before Linux 5.3) or filtered (`EPERM`), the
+//! process is out of file descriptors (`EMFILE`), the platform is not
+//! Linux — that app alone is *polled*: [`ShmPeerProbe::producer_state`]
+//! (`kill` + `/proc/<pid>/stat`, a few microseconds) on every reap, which
+//! is what every app cost before the watch existed. Same answers, same
+//! cadence; there is no setting for it and it does not retry until the
+//! claim changes. [`PowerDialDaemon::liveness_counts`] (the snapshot's
+//! `liveness` section) says how many processes are watched and how many
+//! apps are polled.
+//!
+//! The watch set is also the first half of a doorbell-driven serve loop:
+//! the broker's listener and per-segment doorbell eventfds belong in the
+//! same epoll instance, after which the loop can block on it.
+//!
 //! # Fault containment and self-healing
 //!
 //! The daemon extends the paper's "keep applications responsive while the
@@ -163,7 +213,8 @@ use std::thread::JoinHandle;
 
 use powerdial_heartbeats::channel::{beat_channel, BeatConsumer, BeatSample};
 use powerdial_heartbeats::shm::{
-    DecisionRead, ShmConsumer, ShmDecision, ShmPeerProbe, ShmWarmState, WarmRead,
+    DecisionRead, ProcessWatch, ShmConsumer, ShmDecision, ShmPeerProbe, ShmWarmState, WarmRead,
+    WatchId, Watched,
 };
 use powerdial_heartbeats::telemetry::{
     DecisionTraceRecord, DecisionTraceRing, LatencyHistogram, TraceReason,
@@ -174,7 +225,8 @@ use powerdial_knobs::{KnobTable, PointIdx};
 use crate::error::ControlError;
 use crate::runtime::{IndexedDecision, PowerDialRuntime, RuntimeConfig};
 use crate::telemetry::{
-    AppTelemetryReport, IncidentCounts, ShardTelemetry, TelemetrySnapshot, QOS_PPM_SCALE,
+    AppTelemetryReport, IncidentCounts, LivenessCounts, ShardTelemetry, TelemetrySnapshot,
+    QOS_PPM_SCALE,
 };
 
 /// Identifier of an application registered with a [`PowerDialDaemon`].
@@ -1462,8 +1514,13 @@ pub struct PowerDialDaemon {
     workers: Vec<Worker>,
     /// Inline mode (`workers: 0`): the single shard, ticked on the caller.
     inline_shard: DaemonShard,
-    /// Where each app lives and (for shm apps) its liveness probe.
+    /// Where each app lives and (for shm apps) what is known of its
+    /// producer.
     placements: HashMap<u64, Placement>,
+    /// The producer processes of the shm apps, watched for exit. Holds
+    /// nothing (no epoll instance, no allocation) until an shm app's
+    /// producer claim is first seen by [`PowerDialDaemon::reap_dead`].
+    watch: ProcessWatch,
     next_id: u64,
     next_worker: usize,
     total_beats: u64,
@@ -1471,13 +1528,6 @@ pub struct PowerDialDaemon {
     /// Worker indices awaiting a tick ack (reused across ticks so the tick
     /// loop never allocates).
     tick_pending: Vec<usize>,
-    /// Reused buffer for [`PowerDialDaemon::reap_dead`]'s dead-app scan —
-    /// the every-supervision-cycle empty case touches no allocator.
-    reap_scratch: Vec<AppId>,
-    /// Reused buffer for the reaper's wake pass (dead producer, beats
-    /// still pending, slot possibly idle-skipped): `(app, worker)` pairs
-    /// whose skip state must be cleared so the next tick drains them.
-    wake_scratch: Vec<(AppId, Option<usize>)>,
     /// Worker threads found dead so far (lifetime count; monotonic).
     shard_deaths: u64,
     /// Dead workers respawned by [`PowerDialDaemon::respawn_dead`].
@@ -1487,18 +1537,70 @@ pub struct PowerDialDaemon {
 }
 
 /// Facade-side record of one registered app: which shard owns it, plus —
-/// for shm-backed apps — a probe of its segment, kept here so the reaper
-/// can check peer liveness without taking the owning shard's lock.
+/// for shm-backed apps — what the reaper knows of its producer, kept here
+/// so liveness is judged without taking the owning shard's lock.
 #[derive(Debug)]
 struct Placement {
     /// Owning worker index (`None` = inline shard).
     worker: Option<usize>,
-    /// Segment probe for shm-backed apps; `None` for in-heap channels.
-    probe: Option<ShmPeerProbe>,
+    /// Producer liveness of shm-backed apps; `None` for in-heap channels.
+    liveness: Option<Liveness>,
     /// The app's shared decision state, mirrored here so the façade can
     /// observe quarantine without taking the owning shard's lock (the
     /// reaper and the incident counters both read it).
     shared: Arc<AppShared>,
+}
+
+/// What [`PowerDialDaemon::reap_dead`] knows about one shm app's producer.
+#[derive(Debug)]
+struct Liveness {
+    probe: ShmPeerProbe,
+    /// The producer claim `(pid, start nonce)` that `state` was settled
+    /// for. A header that reads otherwise has been detached, re-claimed or
+    /// scribbled on since, and `state` is settled again.
+    claim: (u32, u64),
+    state: ProducerWatch,
+}
+
+/// How the death of a claim's process will be (or was) learned.
+#[derive(Debug, Clone, Copy)]
+enum ProducerWatch {
+    /// Nobody holds the producer role (PID 0): nothing can die.
+    Unclaimed,
+    /// The claimant is in the daemon's [`ProcessWatch`]; its exit arrives
+    /// as an event.
+    Watched(WatchId),
+    /// The kernel refused a watch: the claim is probed through
+    /// [`ShmPeerProbe::producer_state`] every reap, as all claims were
+    /// before the watch existed.
+    Polled,
+    /// The claimant is dead. The app is reaped once its ring is drained
+    /// (or forfeit); the claim changing is the only way back.
+    Dying,
+}
+
+impl Liveness {
+    /// Settles `state` for a claim just read from the header: gives back
+    /// the watch on the previous claimant and asks for one on the new.
+    /// Cold — it runs when a claim first appears, and again only after a
+    /// detach, a re-claim or a scribble.
+    #[cold]
+    fn settle(&mut self, claim: (u32, u64), watch: &mut ProcessWatch) {
+        if let ProducerWatch::Watched(watched) = self.state {
+            watch.release(watched);
+        }
+        self.claim = claim;
+        let (pid, nonce) = claim;
+        self.state = if pid == 0 {
+            ProducerWatch::Unclaimed
+        } else {
+            match watch.watch(pid, nonce) {
+                Watched::Watching(watched) => ProducerWatch::Watched(watched),
+                Watched::Dead => ProducerWatch::Dying,
+                Watched::Unsupported => ProducerWatch::Polled,
+            }
+        };
+    }
 }
 
 impl std::fmt::Debug for PowerDialDaemon {
@@ -1531,13 +1633,12 @@ impl PowerDialDaemon {
             workers,
             inline_shard: DaemonShard::from_config(&config),
             placements: HashMap::new(),
+            watch: ProcessWatch::new(),
             next_id: 0,
             next_worker: 0,
             total_beats: 0,
             ticks: 0,
             tick_pending,
-            reap_scratch: Vec::new(),
-            wake_scratch: Vec::new(),
             shard_deaths: 0,
             shard_respawns: 0,
             apps_migrated: 0,
@@ -1610,7 +1711,7 @@ impl PowerDialDaemon {
     /// Returns a [`DecisionView`] (there is no producer half to hand back:
     /// the producing process attaches its own
     /// [`powerdial_heartbeats::shm::ShmProducer`] to the segment). The
-    /// daemon keeps a liveness probe of the segment, so
+    /// daemon keeps a probe of the segment, so
     /// [`PowerDialDaemon::reap_dead`] can detect and unregister apps whose
     /// producing process died.
     ///
@@ -1776,7 +1877,13 @@ impl PowerDialDaemon {
             id.0,
             Placement {
                 worker,
-                probe,
+                // Settled lazily, by the first reap that sees the claim:
+                // registration makes no syscall on the producer's account.
+                liveness: probe.map(|probe| Liveness {
+                    probe,
+                    claim: (0, 0),
+                    state: ProducerWatch::Unclaimed,
+                }),
                 shared: Arc::clone(&shared),
             },
         );
@@ -1822,6 +1929,13 @@ impl PowerDialDaemon {
         let Some(placement) = self.placements.remove(&id.0) else {
             return false;
         };
+        if let Some(Liveness {
+            state: ProducerWatch::Watched(watched),
+            ..
+        }) = placement.liveness
+        {
+            self.watch.release(watched);
+        }
         let removed = self.with_shard(placement.worker, |shard| shard.remove(id));
         if let (true, Some(worker)) = (removed, placement.worker) {
             self.workers[worker].apps -= 1;
@@ -1840,49 +1954,71 @@ impl PowerDialDaemon {
     /// tick+reap round rather than losing its tail — but its idle-skip
     /// state is cleared here, so that next tick is guaranteed to drain
     /// it even if the slot was deep in a skip countdown (liveness is
-    /// probed from the façade and is independent of skip state; without
+    /// judged from the façade and is independent of skip state; without
     /// the wake, a SIGKILLed producer behind an idle-skipped segment
     /// would sit unreaped for up to `idle_skip_limit` extra quanta).
-    /// Called every supervision cycle, so the overwhelmingly common
-    /// nothing-is-dead case is allocation-free: the scan reuses an
-    /// internal scratch buffer and returns an empty `Vec` (which holds no
-    /// heap block) when it found nothing. Only a cycle that actually reaps
-    /// — rare by definition — pays for the returned list (the scratch's
-    /// allocation is handed to the caller).
+    ///
+    /// Called every supervision cycle, so what it costs while nobody dies
+    /// is the cost of the serve loop: one non-blocking `epoll_wait` for
+    /// the whole fleet (none for a fleet without shm apps) and two relaxed
+    /// loads per shm app — see *The reap protocol* in the module docs.
+    /// That path and the one a death takes through it are allocation-free;
+    /// only a call that actually reaps — rare by definition — pays for the
+    /// list it returns.
     pub fn reap_dead(&mut self) -> Vec<AppId> {
-        self.reap_scratch.clear();
-        self.wake_scratch.clear();
-        for (id, placement) in &self.placements {
-            if let Some(probe) = placement.probe.as_ref() {
-                // Liveness is probed from the façade, so a slot deep in
-                // an idle-skip streak is judged exactly like any other —
-                // skipping a poll must never postpone noticing a death.
-                if probe.producer_state().is_dead() {
-                    // A quarantined app's ring is never drained again, so
-                    // waiting for `pending() == 0` would park the corpse
-                    // forever: its backlog is forfeit, reap immediately
-                    // (freeing the slot — and the segment — for reuse).
-                    if probe.pending() == 0 || placement.shared.quarantine_reason().is_some() {
-                        self.reap_scratch.push(AppId(*id));
-                    } else {
-                        // The producer died with beats still in the ring.
-                        // Clear the slot's skip countdown so the *next*
-                        // tick drains the stragglers and the reap after
-                        // it collects the corpse — instead of idling out
-                        // up to `idle_skip_limit` quanta first.
-                        self.wake_scratch.push((AppId(*id), placement.worker));
+        // Event: exits among the watched producers since the last call.
+        let deaths = self.watch.poll() > 0;
+        let mut dead = Vec::new();
+        for (id, placement) in &mut self.placements {
+            let Some(liveness) = placement.liveness.as_mut() else {
+                continue;
+            };
+            // Scan: is the claim still the one `state` was settled for?
+            let claim = liveness.probe.producer_claim();
+            if claim != liveness.claim {
+                liveness.settle(claim, &mut self.watch);
+            }
+            // Liveness is judged from the façade, so a slot deep in an
+            // idle-skip streak is judged exactly like any other —
+            // skipping a poll must never postpone noticing a death.
+            let dying = match liveness.state {
+                ProducerWatch::Unclaimed => false,
+                // A process may feed many segments: its one exit event
+                // reaches every app that watched it.
+                ProducerWatch::Watched(watched) => {
+                    let died = deaths && self.watch.is_dead(watched);
+                    if died {
+                        self.watch.release(watched);
+                        liveness.state = ProducerWatch::Dying;
                     }
+                    died
                 }
+                ProducerWatch::Polled => liveness.probe.producer_state().is_dead(),
+                ProducerWatch::Dying => true,
+            };
+            if !dying {
+                continue;
+            }
+            // A quarantined app's ring is never drained again, so
+            // waiting for `pending() == 0` would park the corpse
+            // forever: its backlog is forfeit, reap immediately
+            // (freeing the slot — and the segment — for reuse).
+            if liveness.probe.pending() == 0 || placement.shared.quarantine_reason().is_some() {
+                dead.push(AppId(*id));
+            } else {
+                // The producer died with beats still in the ring.
+                // Clear the slot's skip countdown so the *next*
+                // tick drains the stragglers and the reap after
+                // it collects the corpse — instead of idling out
+                // up to `idle_skip_limit` quanta first.
+                Self::shard_in(
+                    &mut self.inline_shard,
+                    &self.workers,
+                    placement.worker,
+                    |shard| shard.wake(AppId(*id)),
+                );
             }
         }
-        for index in 0..self.wake_scratch.len() {
-            let (id, worker) = self.wake_scratch[index];
-            self.with_shard(worker, |shard| shard.wake(id));
-        }
-        if self.reap_scratch.is_empty() {
-            return Vec::new();
-        }
-        let dead = std::mem::take(&mut self.reap_scratch);
         for id in &dead {
             self.unregister(*id);
         }
@@ -1991,7 +2127,15 @@ impl PowerDialDaemon {
                 shards.push(self.with_shard(Some(index), |shard| shard.telemetry()));
             }
         }
-        TelemetrySnapshot::from_shards(self.ticks, self.total_beats, shards, self.incident_counts())
+        TelemetrySnapshot {
+            liveness: self.liveness_counts(),
+            ..TelemetrySnapshot::from_shards(
+                self.ticks,
+                self.total_beats,
+                shards,
+                self.incident_counts(),
+            )
+        }
     }
 
     /// Worker threads in use (0 = inline mode).
@@ -2172,6 +2316,25 @@ impl PowerDialDaemon {
         }
     }
 
+    /// How producer deaths are being learned of, as embedded in
+    /// [`PowerDialDaemon::telemetry_snapshot`]'s `liveness` section.
+    pub fn liveness_counts(&self) -> LivenessCounts {
+        let polled = self.placements.values().filter(|placement| {
+            matches!(
+                placement.liveness,
+                Some(Liveness {
+                    state: ProducerWatch::Polled,
+                    ..
+                })
+            )
+        });
+        LivenessCounts {
+            watched_processes: self.watch.watched_processes() as u64,
+            polled_apps: polled.count() as u64,
+            death_events: self.watch.death_events(),
+        }
+    }
+
     /// In inline mode (`workers: 0`), the daemon's single shard, for tests
     /// and diagnostics that need to observe per-beat decisions via
     /// [`DaemonShard::run_quantum_with`]. `None` in threaded mode.
@@ -2195,9 +2358,20 @@ impl PowerDialDaemon {
     /// it) and is recovered, the state under it being what the worker
     /// last saw (`in_flight` names the slot it died stepping, if any).
     fn with_shard<R>(&mut self, worker: Option<usize>, f: impl FnOnce(&mut DaemonShard) -> R) -> R {
+        Self::shard_in(&mut self.inline_shard, &self.workers, worker, f)
+    }
+
+    /// [`PowerDialDaemon::with_shard`] over the two fields it needs, for
+    /// a caller that holds a borrow of a third.
+    fn shard_in<R>(
+        inline_shard: &mut DaemonShard,
+        workers: &[Worker],
+        worker: Option<usize>,
+        f: impl FnOnce(&mut DaemonShard) -> R,
+    ) -> R {
         match worker {
-            None => f(&mut self.inline_shard),
-            Some(index) => f(&mut self.workers[index]
+            None => f(inline_shard),
+            Some(index) => f(&mut workers[index]
                 .shard
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)),

@@ -112,4 +112,6 @@ pub use runtime::{
 };
 #[cfg(target_os = "linux")]
 pub use supervisor::{Supervisor, SupervisorConfig};
-pub use telemetry::{AppTelemetryReport, IncidentCounts, ShardTelemetry, TelemetrySnapshot};
+pub use telemetry::{
+    AppTelemetryReport, IncidentCounts, LivenessCounts, ShardTelemetry, TelemetrySnapshot,
+};

@@ -46,6 +46,9 @@
 //!     "shard_deaths": 0, "shard_respawns": 0,
 //!     "apps_migrated": 0, "quarantined_apps": 0
 //!   },
+//!   "liveness": {
+//!     "watched_processes": 1, "polled_apps": 0, "death_events": 0
+//!   },
 //!   "decision_trace": [
 //!     {
 //!       "seq": 0, "timestamp_ns": 50000000, "app": 0, "point_idx": 1,
@@ -126,6 +129,22 @@ pub struct IncidentCounts {
     pub quarantined_apps: u64,
 }
 
+/// How the reaper is learning of producer deaths, embedded in the
+/// snapshot's `liveness` section (see *The reap protocol* in
+/// [`crate::daemon`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LivenessCounts {
+    /// Distinct producer processes currently watched for exit — one per
+    /// process, however many segments it feeds.
+    pub watched_processes: u64,
+    /// Shm apps whose claim the kernel would not watch, probed by syscall
+    /// every reap instead. Non-zero means the daemon is paying the polled
+    /// arm's cost for them (fd limit reached, `pidfd_open` filtered).
+    pub polled_apps: u64,
+    /// Watched-process exits reported so far (lifetime count).
+    pub death_events: u64,
+}
+
 /// A complete telemetry snapshot of a daemon: per-app reports, exact
 /// fleet-wide rollups, and the merged decision trace.
 #[derive(Debug, Clone)]
@@ -145,6 +164,9 @@ pub struct TelemetrySnapshot {
     pub trace: Vec<DecisionTraceRecord>,
     /// Fault-containment incident counters.
     pub incidents: IncidentCounts,
+    /// Producer-liveness counters (zeros as assembled by
+    /// [`TelemetrySnapshot::from_shards`]; the daemon fills them in).
+    pub liveness: LivenessCounts,
 }
 
 impl TelemetrySnapshot {
@@ -179,6 +201,7 @@ impl TelemetrySnapshot {
             fleet_qos_loss_ppm,
             trace,
             incidents,
+            liveness: LivenessCounts::default(),
         }
     }
 
@@ -234,6 +257,16 @@ impl TelemetrySnapshot {
              \"shard_respawns\": {shard_respawns}, \
              \"apps_migrated\": {apps_migrated}, \
              \"quarantined_apps\": {quarantined_apps} }},\n"
+        ));
+        let LivenessCounts {
+            watched_processes,
+            polled_apps,
+            death_events,
+        } = self.liveness;
+        out.push_str(&format!(
+            "  \"liveness\": {{ \"watched_processes\": {watched_processes}, \
+             \"polled_apps\": {polled_apps}, \
+             \"death_events\": {death_events} }},\n"
         ));
         out.push_str("  \"decision_trace\": [");
         for (index, record) in self.trace.iter().enumerate() {

@@ -226,3 +226,118 @@ fn per_quantum_shm_drain_loop_does_not_allocate() {
         "steady-state shm drain loop must not allocate"
     );
 }
+
+/// A producer that dies *inside* the measured window: the exit event, the
+/// fan-out to the app that watched it, the wake of its undrained slot and
+/// the tick that drains the tail allocate nothing. The first allocation
+/// is the list of reaped ids handed to the caller.
+#[cfg(target_os = "linux")]
+#[test]
+fn producer_death_allocates_nothing_until_the_reaped_ids_are_handed_over() {
+    use powerdial_heartbeats::shm::process::fork_child;
+
+    let mut daemon = PowerDialDaemon::new(DaemonConfig {
+        workers: 0, // inline: the drain loop runs on this thread
+        channel_capacity: 64,
+        window_size: 20,
+        inline_apps: 0,
+        idle_skip_limit: 3,
+        drain_cap: 0,
+        telemetry: true,
+        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
+        safe_point: 0,
+    })
+    .unwrap();
+    let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
+        .with_quantum_heartbeats(20)
+        .unwrap();
+    let sample = |tag: u64| BeatSample {
+        tag: HeartbeatTag(tag),
+        timestamp: Timestamp::from_millis(tag * 30),
+        latency: TimestampDelta::from_millis(if tag == 0 { 0 } else { 30 }),
+    };
+
+    // One app fed by this process, one by a forked producer that keeps its
+    // ring topped up until it is killed.
+    let new_segment =
+        || Arc::new(Segment::create(SegmentGeometry::for_beat_samples(64).unwrap()).unwrap());
+    let own_segment = new_segment();
+    let mut own = ShmProducer::attach(Arc::clone(&own_segment)).unwrap();
+    let consumer = ShmConsumer::attach(own_segment).unwrap();
+    daemon.register_shm(config, test_table(), consumer).unwrap();
+
+    let doomed_segment = new_segment();
+    let consumer = ShmConsumer::attach(Arc::clone(&doomed_segment)).unwrap();
+    let doomed_ring = consumer.probe();
+    let doomed = daemon.register_shm(config, test_table(), consumer).unwrap();
+    let parent = std::process::id();
+    let child = fork_child(move || {
+        let Ok(mut producer) = ShmProducer::attach(doomed_segment) else {
+            return 1;
+        };
+        let mut tag = 0u64;
+        while std::os::unix::process::parent_id() == parent {
+            if producer.try_push(sample(tag)).is_ok() {
+                tag += 1;
+            }
+        }
+        2
+    })
+    .unwrap();
+
+    let mut own_tag = 0u64;
+    let mut round = |daemon: &mut PowerDialDaemon| {
+        for _ in 0..20 {
+            own.try_push(sample(own_tag)).unwrap();
+            own_tag += 1;
+        }
+        daemon.tick();
+    };
+    // Warm: scratch and planning buffers, and the watch on the child (its
+    // claim must have been seen by a reap for the death to be an event).
+    while doomed.beats_processed() < 200 {
+        round(&mut daemon);
+        assert!(daemon.reap_dead().is_empty());
+    }
+    assert_eq!(daemon.liveness_counts().watched_processes, 2);
+
+    let before = allocations();
+    let mut reaped_in_round = None;
+    let mut reaping_call_allocations = 0;
+    for index in 0..100u64 {
+        round(&mut daemon);
+        if index == 40 {
+            // Dies with a tail in the ring, between a tick and a reap.
+            while doomed_ring.pending() == 0 {
+                std::hint::spin_loop();
+            }
+            child.kill().unwrap();
+            child.await_exit().unwrap();
+        }
+        let entering = allocations();
+        let reaped = daemon.reap_dead();
+        if !reaped.is_empty() {
+            reaping_call_allocations = allocations() - entering;
+            assert_eq!(reaped_in_round.replace(index), None);
+            assert_eq!(reaped.as_slice(), [doomed.id()]);
+        }
+    }
+    let total = allocations() - before;
+    child.wait().unwrap();
+
+    assert_eq!(
+        reaped_in_round,
+        Some(41),
+        "event and wake in round 40, tail drained and app reaped in round 41"
+    );
+    assert_eq!(daemon.liveness_counts().death_events, 1);
+    assert_eq!(
+        reaping_call_allocations, 1,
+        "the returned list, nothing else"
+    );
+    assert_eq!(
+        total - reaping_call_allocations,
+        0,
+        "a death is allocation-free until its app is handed to the caller"
+    );
+}

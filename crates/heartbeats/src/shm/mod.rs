@@ -23,6 +23,9 @@
 //!   instantiated over the mapped atomics (wait-free `try_push`, batched
 //!   `drain_into`), plus the attach-time handshake, peer liveness, and the
 //!   decision read-back path;
+//! * [`watch`] — [`ProcessWatch`]: producer-process death as an event
+//!   (one pidfd per process in one epoll instance) instead of a per-segment
+//!   poll of PIDs;
 //! * [`fdpass`] — `SCM_RIGHTS` fd passing and the hello wire protocol the
 //!   attach broker (`powerdial-control`) and `powerdial-client` speak;
 //! * [`process`] — fork/wait helpers for the cross-process tests and the
@@ -57,8 +60,8 @@
 //! mismatch means the PID was recycled and the original producer is dead
 //! — closing the v1 false-liveness hole where a recycled PID deferred the
 //! reap indefinitely. A zero nonce (pre-nonce attacher, `/proc`
-//! unavailable, non-Linux) degrades to plain `kill(pid, 0)` liveness, a
-//! conservative *alive*. The claim protocol keeps the pair coherent
+//! unavailable, non-Linux) records nothing to disagree with: such a claim
+//! is alive for as long as its PID names a running process. The claim protocol keeps the pair coherent
 //! without widening the CAS: the nonce slot is zero whenever the PID slot
 //! is claimable (`initialize` and [`ShmProducer::detach`] clear the nonce
 //! *before* the PID; death clears neither), and a probe racing the
@@ -133,27 +136,56 @@
 //!   geometry, so a scribbling peer can corrupt *values* (garbage beats)
 //!   but never induce out-of-bounds access, unbounded allocation, or UB.
 //!
-//! # Reap protocol
+//! # Reap protocol and producer liveness
 //!
-//! The producer PID is never cleared implicitly — a stale producer PID is
-//! how abandonment is detected (dropping the handle, clean exit, and
-//! SIGKILL all look identical to the controller, which is the point). The
-//! controller side periodically probes [`ShmConsumer::producer_state`]
-//! (or a detached [`ShmPeerProbe`]): when the producing process no longer
-//! exists, the consumer drains whatever the producer managed to publish
-//! (beats already in the ring survive the producer's death — they live in
-//! the segment, not the process) and then unregisters and unmaps the
-//! segment. `PowerDialDaemon::reap_dead` in `powerdial-control` implements
-//! exactly this. An orderly producer hand-off uses
-//! [`ShmProducer::detach`], which clears the PID instead of leaving it
-//! stale; the consumer claim, which carries no liveness protocol, is
-//! released automatically when the [`ShmConsumer`] drops.
+//! The producer PID is never cleared implicitly — a stale producer claim
+//! is how abandonment is detected (dropping the handle, clean exit, and
+//! SIGKILL all look identical to the controller, which is the point). When
+//! the producing process is gone, the consumer drains whatever the
+//! producer managed to publish (beats already in the ring survive the
+//! producer's death — they live in the segment, not the process) and then
+//! unregisters and unmaps the segment. `PowerDialDaemon::reap_dead` in
+//! `powerdial-control` implements exactly this. An orderly producer
+//! hand-off uses [`ShmProducer::detach`], which clears the claim instead of
+//! leaving it stale; the consumer claim, which carries no liveness
+//! protocol, is released automatically when the [`ShmConsumer`] drops.
 //!
-//! PID recycling — the v1 false-liveness hole where `kill(pid, 0)`
-//! against a recycled PID made a dead producer look alive — is closed by
-//! the ABI v2 producer start nonce (see "ABI v2 additions" above); the
-//! zero-nonce fallback intentionally retains the old conservative
-//! behaviour on platforms without `/proc`.
+//! There are two ways to learn that a claimant is gone, and they give the
+//! same answers:
+//!
+//! * **Ask about the PID** — [`ShmConsumer::producer_state`], or a
+//!   detached [`ShmPeerProbe`]: `kill(pid, 0)`, then one read of
+//!   `/proc/<pid>/stat`. Microseconds per call, per segment, every time.
+//! * **Watch the process** — [`watch::ProcessWatch`]: one `pidfd_open` per
+//!   distinct producer *process*, all of them in one epoll instance, and
+//!   afterwards a single non-blocking `epoll_wait` per reap for the whole
+//!   fleet. This is what the daemon does; it keeps the first way for
+//!   claims the kernel will not watch (no `pidfd_open`, no descriptors
+//!   left, not Linux), and the test suites keep it as the oracle.
+//!
+//! **PID recycling.** A PID is a number the kernel hands out again. Asked
+//! about the number alone, a dead producer whose PID now belongs to an
+//! unrelated process looks alive forever — the v1 false-liveness hole. The
+//! PID probe closes it with the ABI v2 start nonce (a live PID whose start
+//! time disagrees with the recorded one is somebody else; see "ABI v2
+//! additions" above), and where no nonce was recorded it keeps the old
+//! conservative *alive*. A pidfd names a process, not a number: once
+//! opened it can never come to mean the PID's next owner, so on the watch
+//! path the nonce is compared exactly once — when the watch is
+//! established, because the recycling may already have happened by then.
+//!
+//! **Zombies.** A process that has exited but has not been waited for
+//! keeps its PID and its `/proc` entry, and `kill(pid, 0)` succeeds on it:
+//! by that test alone a crashed application whose parent never calls
+//! `wait` would hold its slot and segment forever. It is dead for every
+//! purpose here — it will never push again. The PID probe therefore takes
+//! the state field out of the same `/proc/<pid>/stat` read that yields the
+//! start time (`Z` or `X` is [`PeerState::Dead`]); a pidfd becomes
+//! readable at exit, not at `wait`, so the watch needs no such care. The
+//! *consumer* side is different on purpose: [`ShmProducer::consumer_state`]
+//! is the client's check on its daemon, made on a beat stride, and stays a
+//! single `kill`; a zombie daemon reads alive there until it is waited
+//! for.
 //!
 //! # Example (single process; see `examples/shm_external_controller.rs`
 //! for the forked two-process deployment)
@@ -191,6 +223,7 @@ pub mod process;
 pub mod segment;
 pub mod seqlock;
 pub mod transport;
+pub mod watch;
 
 pub use error::{PeerRole, PeerState, ShmError};
 pub use fdpass::{
@@ -206,6 +239,7 @@ pub use segment::{
 };
 pub use seqlock::{SeqBlock, SeqRead, DECISION_READ_RETRIES};
 pub use transport::{ShmConsumer, ShmPeerProbe, ShmProducer};
+pub use watch::{ProcessWatch, WatchId, Watched};
 
 #[cfg(target_os = "linux")]
 pub use fdpass::{recv_exact_with_fd, send_with_fd};

@@ -25,10 +25,19 @@ mod sys {
     use std::os::raw::c_int;
 
     pub const SIGKILL: c_int = 9;
+    pub const P_PID: c_int = 1;
+    pub const WEXITED: c_int = 4;
+    pub const WNOWAIT: c_int = 0x0100_0000;
+
+    /// `siginfo_t`: 128 bytes on every Linux/BSD ABI; only its size is
+    /// used here.
+    #[repr(C, align(8))]
+    pub struct SigInfo(pub [u8; 128]);
 
     extern "C" {
         pub fn fork() -> c_int;
         pub fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
+        pub fn waitid(idtype: c_int, id: c_int, info: *mut SigInfo, options: c_int) -> c_int;
         pub fn kill(pid: c_int, sig: c_int) -> c_int;
         pub fn _exit(code: c_int) -> !;
     }
@@ -106,6 +115,28 @@ impl ForkedChild {
         }
     }
 
+    /// Blocks until the child has terminated **without** waiting for it:
+    /// the child stays a zombie — what a crashed application is for as
+    /// long as its parent never calls `wait` — until [`ForkedChild::wait`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShmError::Io`] when `waitid` fails.
+    pub fn await_exit(&self) -> Result<(), ShmError> {
+        let mut info = sys::SigInfo([0; 128]);
+        // SAFETY: `pid` is an unwaited-for child of this process and
+        // `info` is writable for a whole `siginfo_t`.
+        let rc =
+            unsafe { sys::waitid(sys::P_PID, self.pid, &mut info, sys::WEXITED | sys::WNOWAIT) };
+        if rc == -1 {
+            return Err(ShmError::Io {
+                op: "waitid",
+                source: std::io::Error::last_os_error(),
+            });
+        }
+        Ok(())
+    }
+
     /// Sends the child `SIGKILL` (the "application crashed mid-stream"
     /// fault the reap tests inject). Call [`ForkedChild::wait`] afterwards
     /// to release the zombie.
@@ -134,6 +165,14 @@ mod tests {
         let child = fork_child(|| 7).unwrap();
         assert!(child.pid() > 0);
         assert_eq!(child.wait().unwrap(), ChildExit::Exited(7));
+    }
+
+    #[test]
+    fn await_exit_leaves_the_zombie_for_wait() {
+        let child = fork_child(|| 3).unwrap();
+        child.await_exit().unwrap();
+        child.await_exit().unwrap();
+        assert_eq!(child.wait().unwrap(), ChildExit::Exited(3));
     }
 
     #[test]

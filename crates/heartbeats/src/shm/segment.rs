@@ -88,11 +88,42 @@ pub fn current_pid() -> u32 {
 /// same PID. Returns `None` where `/proc` is unavailable (non-Linux, or a
 /// PID hidden from this process), in which case callers fall back to plain
 /// `kill(pid, 0)` liveness.
-/// Allocation-free: this runs inside the reaper's per-quantum liveness
-/// probe, which shares the hot path's no-heap contract (enforced by the
-/// `no_alloc` test suite) — hence raw `open`/`read`/`close` into stack
-/// buffers instead of `std::fs`.
 pub fn process_start_nonce(pid: u32) -> Option<u64> {
+    process_stat(pid)?.start_nonce
+}
+
+/// What one read of `/proc/<pid>/stat` says about a process: the two
+/// fields liveness needs, parsed from the same buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProcessStat {
+    /// The state field is `Z` (zombie) or `X` (dead): the process has
+    /// exited and only its unwaited-for `/proc` entry lingers.
+    exited: bool,
+    /// The `starttime` field; `None` when unparsable or zero.
+    start_nonce: Option<u64>,
+}
+
+/// True when `/proc` shows that the process a producer claim `(pid,
+/// nonce)` named is gone although `pid` still resolves: the process at
+/// `pid` has exited (a zombie passes `kill(pid, 0)` until its parent waits
+/// for it, which a crashed application's parent may never do), or it is a
+/// later process recycled onto the PID (its start time disagrees with the
+/// recorded nonce; a zero nonce records nothing to disagree with). Where
+/// `/proc` has no answer the claim is not contradicted: `false`.
+pub(crate) fn claimant_gone(pid: u32, nonce: u64) -> bool {
+    process_stat(pid).is_some_and(|stat| {
+        stat.exited || (nonce != 0 && stat.start_nonce.is_some_and(|actual| actual != nonce))
+    })
+}
+
+/// Reads and parses `/proc/<pid>/stat`; `None` where it cannot be read
+/// (non-Linux, no such process, a PID hidden from this process).
+///
+/// Allocation-free: this runs inside the reaper's liveness probe, which
+/// shares the hot path's no-heap contract (enforced by the `no_alloc` test
+/// suite) — hence raw `open`/`read`/`close` into stack buffers instead of
+/// `std::fs`.
+fn process_stat(pid: u32) -> Option<ProcessStat> {
     #[cfg(target_os = "linux")]
     {
         // "/proc/" + up to 10 PID digits + "/stat" + NUL = 23 bytes.
@@ -158,18 +189,23 @@ pub fn process_start_nonce(pid: u32) -> Option<u64> {
 
         // The comm field is parenthesized and may itself contain spaces and
         // parentheses; everything after the *last* ')' is whitespace-split:
-        // state(3) ppid(4) … starttime(22), i.e. index 19 after the comm.
+        // state(3) ppid(4) … starttime(22), i.e. indices 0 and 19 after
+        // the comm.
         let stat = &buf[..got];
         let close_paren = stat.iter().rposition(|&byte| byte == b')')?;
-        let token = stat[close_paren + 1..]
+        let mut fields = stat[close_paren + 1..]
             .split(|&byte| byte == b' ')
-            .filter(|token| !token.is_empty())
-            .nth(19)?;
-        std::str::from_utf8(token)
-            .ok()?
-            .parse::<u64>()
-            .ok()
-            .filter(|&nonce| nonce != 0)
+            .filter(|token| !token.is_empty());
+        let exited = matches!(fields.next()?, b"Z" | b"X");
+        let start_nonce = fields
+            .nth(18)
+            .and_then(|token| std::str::from_utf8(token).ok())
+            .and_then(|token| token.parse::<u64>().ok())
+            .filter(|&nonce| nonce != 0);
+        Some(ProcessStat {
+            exited,
+            start_nonce,
+        })
     }
     #[cfg(not(target_os = "linux"))]
     {

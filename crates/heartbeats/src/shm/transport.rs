@@ -40,7 +40,9 @@
 //! (`/proc/<pid>/stat` starttime), so an unrelated process that inherits
 //! the dead producer's recycled PID no longer masquerades as a live peer:
 //! a live PID whose actual start time disagrees with the recorded nonce
-//! reads as [`PeerState::Dead`]. The **consumer** PID carries no liveness
+//! reads as [`PeerState::Dead`] — and so does one whose process has exited
+//! and merely awaits its parent's `wait` (a zombie passes `kill(pid, 0)`).
+//! The **consumer** PID carries no liveness
 //! protocol — it only enforces single-consumer access — so it *is*
 //! released when the consumer drops (daemon unregister/reap), keeping
 //! segments re-attachable without restarting the controller.
@@ -76,7 +78,7 @@ use crate::shm::error::{PeerRole, PeerState, ShmError};
 use crate::shm::layout::{
     DecisionRead, SegmentHeader, ShmBeatSample, ShmDecision, ShmWarmState, WarmRead,
 };
-use crate::shm::segment::{current_pid, pid_alive, process_start_nonce, Segment};
+use crate::shm::segment::{claimant_gone, current_pid, pid_alive, process_start_nonce, Segment};
 use crate::spsc::{self, Storage};
 
 /// The mapped storage of the ring: a segment that passed attach-time
@@ -219,16 +221,23 @@ fn peer_state(slot: &AtomicU32) -> PeerState {
 }
 
 /// Liveness of the *producer* claim, which — unlike the consumer's — is
-/// nonce-checked (ABI v2): a live process at the claimed PID whose actual
-/// start time disagrees with the recorded [`SegmentHeader::producer_nonce`]
-/// is a recycled PID, so the original producer is dead. A zero nonce (not
-/// recorded, pre-nonce attacher, or `/proc` unavailable at claim time)
-/// falls back to plain `kill(pid, 0)` liveness.
+/// checked against `/proc/<pid>/stat` as well as `kill(pid, 0)`: a PID that
+/// still resolves is nevertheless [`PeerState::Dead`] when the process
+/// there has exited and is only waiting to be waited for (a zombie passes
+/// `kill`), or when its start time disagrees with the recorded
+/// [`SegmentHeader::producer_nonce`] (ABI v2: a recycled PID). A zero nonce
+/// (not recorded, pre-nonce attacher) skips the second comparison, and
+/// where `/proc` is unavailable the answer is plain `kill` liveness — a
+/// conservative *alive*.
+///
+/// This is the syscall probe: the daemon's reaper learns of deaths from
+/// [`crate::shm::watch::ProcessWatch`] instead and keeps this one for
+/// claims it cannot watch, and it is the oracle the watch is tested
+/// against.
 fn producer_state_of(header: &SegmentHeader) -> PeerState {
     let state = peer_state(&header.producer_pid);
     if let PeerState::Alive(pid) = state {
-        let nonce = header.producer_nonce.load(Ordering::Acquire);
-        if nonce != 0 && process_start_nonce(pid).is_some_and(|actual| actual != nonce) {
+        if claimant_gone(pid, header.producer_nonce.load(Ordering::Acquire)) {
             return PeerState::Dead(pid);
         }
     }
@@ -501,10 +510,25 @@ pub struct ShmPeerProbe {
 }
 
 impl ShmPeerProbe {
-    /// Liveness of the producer side (nonce-checked, like
+    /// Liveness of the producer side (nonce- and zombie-checked, like
     /// [`ShmConsumer::producer_state`]).
     pub fn producer_state(&self) -> PeerState {
         producer_state_of(self.segment.header())
+    }
+
+    /// The producer claim as the header records it right now — `(pid,
+    /// start nonce)`, two relaxed loads and no syscall. Equality with an
+    /// earlier reading means no detach, re-claim or scribble has happened
+    /// since; whether the claimant still *lives* is
+    /// [`ShmPeerProbe::producer_state`]'s question (or a
+    /// [`crate::shm::watch::ProcessWatch`]'s, asked once per process
+    /// rather than once per segment).
+    pub fn producer_claim(&self) -> (u32, u64) {
+        let header = self.segment.header();
+        (
+            header.producer_pid.load(Ordering::Relaxed),
+            header.producer_nonce.load(Ordering::Relaxed),
+        )
     }
 
     /// Reads the currently published decision (ABI v2 decision block).

@@ -65,6 +65,54 @@ fn live_forked_producer_reads_alive_then_dead_after_kill() {
     assert_eq!(consumer.producer_state(), PeerState::Dead(child_pid));
 }
 
+/// Regression: `kill(pid, 0)` succeeds on a process that has exited but
+/// has not been waited for, so a crashed producer whose parent never calls
+/// `wait` read `Alive` — and held its slot and segment — forever. The state
+/// field of the `/proc/<pid>/stat` read the nonce check already makes says
+/// otherwise.
+#[test]
+fn exited_but_unwaited_producer_reads_dead() {
+    let segment = segment();
+    let consumer = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
+    let child = fork_child({
+        let segment = Arc::clone(&segment);
+        move || match ShmProducer::attach(segment) {
+            Ok(_producer) => 0,
+            Err(_) => 1,
+        }
+    })
+    .unwrap();
+    let child_pid = child.pid();
+    child.await_exit().unwrap();
+
+    // A zombie: the PID still resolves and still carries its start time.
+    assert!(powerdial_heartbeats::shm::pid_alive(child_pid));
+    assert_eq!(
+        process_start_nonce(child_pid),
+        Some(segment.header().producer_nonce.load(Ordering::Acquire))
+    );
+    assert_eq!(consumer.producer_state(), PeerState::Dead(child_pid));
+    assert_eq!(
+        consumer.probe().producer_state(),
+        PeerState::Dead(child_pid)
+    );
+    // With no nonce recorded, too: exit is not a question of identity.
+    segment.header().producer_nonce.store(0, Ordering::Release);
+    assert_eq!(consumer.producer_state(), PeerState::Dead(child_pid));
+    // A would-be successor sees an abandoned stream, not a live rival.
+    segment
+        .header()
+        .producer_nonce
+        .store(process_start_nonce(child_pid).unwrap(), Ordering::Release);
+    assert!(matches!(
+        ShmProducer::attach(Arc::clone(&segment)),
+        Err(powerdial_heartbeats::shm::ShmError::DeadPeer { .. })
+    ));
+
+    assert_eq!(child.wait().unwrap(), ChildExit::Exited(0));
+    assert_eq!(consumer.producer_state(), PeerState::Dead(child_pid));
+}
+
 #[test]
 fn recycled_pid_with_stale_nonce_still_reads_dead() {
     let segment = segment();

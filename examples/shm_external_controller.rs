@@ -135,8 +135,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut view: Option<powerdial::control::daemon::DecisionView> = None;
     let mut quantum = 0u64;
     let mut reaped = Vec::new();
-    // Terminate on the processed-beat count, not on reaping: the exited
-    // child stays an unreapable zombie until `wait()` below.
     while view
         .as_ref()
         .is_none_or(|app| app.beats_processed() < CHILD_BEATS)
@@ -209,9 +207,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         app.latest_gain().unwrap_or(1.0) > 1.0,
         "a 20 beats/s app under a 30 beats/s target must be boosted"
     );
-    // 5. Reap: the zombie is collected, the segment's producer PID is
-    //    stale, the ring is drained — the daemon lets go of the mapping
-    //    and resets the decision block for any future reuse.
+    // 5. Reap: the application has exited, so the segment's producer
+    //    claim is stale; once the ring is drained the daemon lets go of
+    //    the mapping and resets the decision block for any future reuse.
+    //    (The loop above may already have done it: an exit is seen when
+    //    it happens, whether or not anybody has waited for the zombie.)
     if reaped.is_empty() {
         daemon.tick();
         reaped = daemon.reap_dead();
