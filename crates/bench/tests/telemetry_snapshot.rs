@@ -99,6 +99,17 @@ fn snapshot_json_round_trips_through_the_strict_parser() {
         assert_eq!(num(liveness, counter), 0.0, "{counter}");
     }
 
+    // Two worker shards with apps on them: each ran one quantum per tick,
+    // on its own thread or on the ticking one, and the first busy tick
+    // found both threads asleep and woke them.
+    let handoff = document.get("handoff").expect("handoff object");
+    assert_eq!(
+        num(handoff, "hot_ticks") + num(handoff, "serial_ticks"),
+        2.0 * quanta as f64
+    );
+    assert!(num(handoff, "rearms") >= 2.0);
+    assert!(num(handoff, "collect_parks") >= 0.0);
+
     // The decision trace carries boundary decisions with valid reasons.
     let trace = document
         .get("decision_trace")
@@ -304,4 +315,9 @@ fn telemetry_off_snapshot_is_empty_but_valid() {
     let document =
         Json::parse(&snapshot.to_json()).expect("empty snapshot still renders strict JSON");
     assert_eq!(num(&document, "apps_registered"), 0.0);
+    // No workers, no hand-off to count.
+    let handoff = document.get("handoff").expect("handoff object");
+    for counter in ["hot_ticks", "serial_ticks", "rearms", "collect_parks"] {
+        assert_eq!(num(handoff, counter), 0.0, "{counter}");
+    }
 }

@@ -11,8 +11,9 @@
 
 #![cfg(unix)]
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use powerdial_client::{ClientConfig, Decision, DecisionSource, PowerDialClient};
 use powerdial_control::daemon::{DaemonConfig, PowerDialDaemon};
@@ -112,23 +113,40 @@ fn sigkilled_daemon_degrades_to_last_known_good_within_grace() {
         ..ClientConfig::default()
     };
     let mut client = PowerDialClient::attach_segment(Arc::clone(&segment), config).unwrap();
-    let boosted = beat_until_boosted(&mut client);
+    beat_until_boosted(&mut client);
 
-    // SIGKILL the daemon at an arbitrary point in its tick loop —
-    // including, possibly, mid-publish. The wait() reaps the zombie so
-    // the PID liveness check sees a truly dead process.
+    // The daemon keeps deciding for as long as beats reach it, and it may
+    // decide the boost away again; what has to survive it is the decision
+    // it published *last*. So stop beating, let it drain the ring, and
+    // wait for the decision block's sequence number to stand still.
+    let sequence = || segment.header().decision.seq.load(Ordering::Acquire);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let settled = loop {
+        assert!(Instant::now() < deadline, "the daemon never went quiet");
+        let before = sequence();
+        std::thread::sleep(Duration::from_millis(10));
+        if client.beats_in_flight() == 0 && before % 2 == 0 && sequence() == before {
+            break before;
+        }
+    };
+    let last = client.current_decision();
+    assert_eq!(last.source, DecisionSource::Published);
+
+    // SIGKILL the daemon in its (now idle) tick loop. The wait() reaps
+    // the zombie so the PID liveness check sees a truly dead process.
     daemon.kill().unwrap();
     assert!(matches!(daemon.wait().unwrap(), ChildExit::Signaled(_)));
+    assert_eq!(sequence(), settled, "nothing was published after `last`");
 
     // Within the grace window the client keeps the last-known-good
     // decision — repeatedly, deterministically, and without panicking.
-    // (The daemon may have re-decided between the observed boost and the
-    // kill, so only the boost itself — not the exact point — is stable.)
-    let _ = boosted;
     for _ in 0..100 {
         let current = client.current_decision();
         assert_eq!(current.source, DecisionSource::LastKnownGood);
-        assert!(current.decision.gain > 1.0, "the boost survives the daemon");
+        assert_eq!(
+            current.decision, last.decision,
+            "the last published decision survives the daemon"
+        );
     }
     assert!(!client.daemon_state().is_alive());
 

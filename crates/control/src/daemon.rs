@@ -18,7 +18,7 @@
 //!   wait-free, allocation-free, no syscalls.
 //! * Applications are **sharded** across worker threads round-robin (the
 //!   first [`DaemonConfig::inline_apps`] land on the caller's inline shard,
-//!   so tiny fleets skip the cross-thread round trip entirely). Once per
+//!   so tiny fleets involve no second thread at all). Once per
 //!   actuation quantum ([`PowerDialDaemon::tick`]) every shard drains each
 //!   of its channels in one batch into a reused scratch buffer and steps
 //!   the existing O(1) [`PowerDialRuntime`] through the **batched decision
@@ -80,23 +80,73 @@
 //! subsides. The serial, mutex-guarded baseline the benchmarks compare
 //! against is [`naive::SerialMutexDaemon`].
 //!
+//! # Threading model
+//!
 //! With `workers: 0` the daemon runs **inline**: no threads are spawned and
 //! [`PowerDialDaemon::tick`] processes every shard on the calling thread.
 //! This mode is deterministic (used by the consolidation experiments and
 //! the equivalence tests); threaded mode has the same per-app semantics but
 //! interleaves beat arrival with draining.
 //!
-//! In threaded mode each worker's shard sits behind an `Arc<Mutex<_>>` the
-//! façade shares with the worker thread, and the thread exists for exactly
-//! one job: running its shard's quantum concurrently with the others. The
-//! command channel therefore carries three messages — `Tick` (lock, run
-//! the quantum, unlock, ack the beat count), `Crash` (the fault-injection
-//! kill) and `Shutdown`. Everything else the façade does to a shard —
-//! register, unregister, wake, arm a panic, read telemetry — it does by
-//! locking the shard itself: the façade is `&mut self` and a tick collects
-//! every ack before it returns, so between ticks the lock is always free,
-//! whether the worker is alive or dead (a dead worker's poisoned lock is
-//! recovered, the state under it being what the worker last saw).
+//! In threaded mode each worker has a shard behind a mutex and a thread,
+//! and the thread is an **accelerator, not a dependency**: every tick runs
+//! every shard's quantum exactly once before it returns, and *which*
+//! thread runs a worker's quantum is decided per tick by the state of that
+//! worker's hand-off block (one cache-line-padded state word, the private
+//! `handoff` module):
+//!
+//! | state | the thread is… | a tick… |
+//! |---|---|---|
+//! | `Hot` | spinning on the word | assigns the quantum with one CAS, runs the inline shard meanwhile, collects with a bounded spin |
+//! | `Tick` → `Running` | claiming, then running the quantum under the shard lock | (is waiting for this one) |
+//! | `Parked` | asleep in `thread::park` | runs the quantum **itself** and wakes the thread only if it drained beats |
+//! | `Waking` | unparked, not yet on a CPU | runs the quantum itself, wakes nobody |
+//! | `Dead` | gone | marks the shard dead ([`PowerDialDaemon::try_tick`] reports it once) |
+//!
+//! Only the façade assigns, revokes and wakes; only the thread claims,
+//! completes, parks itself and dies; each contended pair is two CASes from
+//! the same value. The thread spins for a fixed 50 µs after each quantum
+//! and then parks, so a loop that is actually busy (ticks a few
+//! microseconds apart) never leaves the spinning state and pays no
+//! syscall: measured on the 8-app `drain_threaded` benchmark, a tick's
+//! hand-off costs about 0.06 µs where the command/ack channel pair it
+//! replaced cost 36 µs (two futex wake-ups per tick, each side parked by
+//! the time the other spoke). A silent fleet costs nothing across
+//! threads either: the thread has parked, and an empty quantum run by the
+//! façade wakes nobody. The budget is a constant because it has nothing
+//! to tune: it must only exceed a busy loop's inter-tick gap and stay
+//! below what an idle loop sleeps ([`IdleLadder::INITIAL_PARK`]).
+//!
+//! **What runs where.** The inline shard always runs on the ticking
+//! thread. A worker's quantum runs on its own thread when that thread was
+//! spinning at the start of the tick, otherwise on the ticking thread,
+//! after the inline shard, under the same `catch_unwind` perimeter a
+//! worker thread's death gives (a panic escaping the sweep kills the
+//! *shard*, never the caller). Same function, same shard state, different
+//! thread: decision sequences are bit-identical either way. Everything
+//! else the façade does to a shard — register, unregister, wake, arm a
+//! panic, read telemetry — it does by locking the shard itself: the façade
+//! is `&mut self` and a tick brings every quantum home before it returns,
+//! so between ticks the lock is always free, whether the worker is alive
+//! or dead (a dead worker's poisoned lock is recovered, the state under it
+//! being what the fatal quantum last saw).
+//!
+//! **Nobody waits for a thread that is not running.** A quantum that a
+//! supposedly spinning thread has not claimed within one budget is taken
+//! back (`Tick → Parked`, one CAS against the claim) and run by the
+//! façade; only a *claimed* quantum is waited for, by a bounded spin and
+//! then a park that the thread's completing swap ends. And a thread that
+//! was woken and went back to sleep without being given a quantum — ticks
+//! further apart than the budget, or a host whose scheduler runs it on
+//! the façade's own CPU, where it can only spin while the façade does not
+//! tick — doubles the busy quanta the next wake-up needs (up to 1024; the
+//! first quantum it does run resets that). On a one-CPU host the threads
+//! therefore stay asleep and a threaded daemon runs at the inline
+//! daemon's speed (`daemon_handoff` pins a process to one CPU to hold it
+//! to that); the same happens, harmlessly, wherever the kernel declines
+//! to give a worker a CPU of its own.
+//! [`TelemetrySnapshot`]'s `handoff` section counts which thread ran the
+//! quanta and what the wake-ups cost.
 //!
 //! # The reap protocol: scan → event → dying
 //!
@@ -185,9 +235,12 @@
 //!   until [`PowerDialDaemon::unregister`]/[`PowerDialDaemon::reap_dead`]
 //!   evicts it (a reaper treats a quarantined app's undrained backlog as
 //!   forfeit — it would never be processed anyway).
-//! * **Shard resurrection.** A worker thread can only die while the
-//!   façade waits on it (mid-`Tick`, or on an injected `Crash`), so the
-//!   death is always seen at once: the façade marks the shard dead —
+//! * **Shard resurrection.** A shard dies when a panic escapes its
+//!   quantum — on its worker thread, whose `Drop` guard then publishes
+//!   `Dead` on the hand-off block and wakes a waiting façade, or on the
+//!   façade, which catches it — or on an injected `Crash`; either way
+//!   within the tick (or call) that caused it, so the death is always
+//!   seen at once: the façade marks the shard dead —
 //!   [`PowerDialDaemon::try_tick`] surfaces it once as
 //!   [`ControlError::ShardDead`], new registrations go to live shards —
 //!   and stops ticking it. The corpse's apps stay reachable through the
@@ -208,7 +261,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use powerdial_heartbeats::channel::{beat_channel, BeatConsumer, BeatSample};
@@ -223,10 +276,11 @@ use powerdial_heartbeats::{BeatProducer, HeartbeatTag, SlidingWindow, Timestamp,
 use powerdial_knobs::{KnobTable, PointIdx};
 
 use crate::error::ControlError;
+use crate::handoff::{Command, Dispatcher, Handoff};
 use crate::runtime::{IndexedDecision, PowerDialRuntime, RuntimeConfig};
 use crate::telemetry::{
-    AppTelemetryReport, IncidentCounts, LivenessCounts, ShardTelemetry, TelemetrySnapshot,
-    QOS_PPM_SCALE,
+    AppTelemetryReport, HandoffCounts, IncidentCounts, LivenessCounts, ShardTelemetry,
+    TelemetrySnapshot, QOS_PPM_SCALE,
 };
 
 /// Identifier of an application registered with a [`PowerDialDaemon`].
@@ -250,7 +304,12 @@ impl AppId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonConfig {
     /// Worker threads to shard applications across. `0` runs the daemon
-    /// inline: ticks process every shard on the calling thread.
+    /// inline: ticks process every shard on the calling thread. A worker
+    /// buys parallelism for a loop that ticks more often than every 50 µs
+    /// (its thread then spins between quanta and a tick hands it work for
+    /// about 0.06 µs); at any slower cadence its thread sleeps, the ticking
+    /// thread runs its shard, and the worker costs one uncontended lock per
+    /// tick — see *Threading model* in the [module docs](self).
     pub workers: usize,
     /// Capacity, in beat records, of each application's SPSC channel.
     /// Should comfortably exceed the number of beats an application emits
@@ -260,8 +319,10 @@ pub struct DaemonConfig {
     /// estimate fed to each application's controller (the paper uses 20).
     pub window_size: usize,
     /// In threaded mode, the first `inline_apps` registered applications
-    /// are placed on the caller's inline shard instead of a worker, so a
-    /// small fleet pays zero cross-thread round trips per tick. Decisions
+    /// are placed on the caller's inline shard instead of a worker: the
+    /// ticking thread has to do something while the workers run, and a
+    /// fleet this small (4 apps × 20 beats ≈ 3 µs of quantum) is finished
+    /// before a second thread could have been told about it. Decisions
     /// are placement-independent (the shards run identical control code);
     /// only which thread does the work changes. Ignored in inline mode
     /// (`workers: 0`), where everything is inline anyway.
@@ -299,7 +360,7 @@ impl DaemonConfig {
     pub const DEFAULT_CHANNEL_CAPACITY: usize = 256;
 
     /// Default [`DaemonConfig::inline_apps`]: fleets up to this size never
-    /// pay a cross-thread round trip per tick.
+    /// involve a worker thread.
     pub const DEFAULT_INLINE_APPS: usize = 4;
 
     /// Default [`DaemonConfig::trace_capacity`]: a few dozen quanta of
@@ -952,6 +1013,12 @@ pub struct DaemonShard {
     /// resurrection path can blame exactly one app when it recovers the
     /// shard from the dead worker.
     in_flight: Option<u64>,
+    /// Unit-test fault injection: the next sweep panics *outside* its
+    /// containment guard, mid-step on the shard's first app — the escaped
+    /// panic [`DaemonShard::blame_in_flight`] exists for, which no input
+    /// can produce.
+    #[cfg(test)]
+    escape_armed: bool,
 }
 
 impl DaemonShard {
@@ -982,13 +1049,8 @@ impl DaemonShard {
     }
 
     /// Number of applications this shard owns.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.apps.len()
-    }
-
-    /// True when the shard owns no applications.
-    pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
     }
 
     fn push_slot(&mut self, slot: AppSlot) {
@@ -1047,21 +1109,6 @@ impl DaemonShard {
         self.slot_mut(id)
             .map(|slot| slot.panic_armed = true)
             .is_some()
-    }
-
-    /// Quarantine state of `id`: `Some(reason)` once the app has been
-    /// quarantined, `None` while healthy (or when the shard does not own
-    /// `id`).
-    pub fn quarantine_reason(&self, id: AppId) -> Option<QuarantineReason> {
-        self.slot(id).and_then(|slot| slot.quarantined)
-    }
-
-    /// Number of quarantined apps currently parked on this shard.
-    pub fn quarantined_count(&self) -> usize {
-        self.apps
-            .iter()
-            .filter(|slot| slot.quarantined.is_some())
-            .count()
     }
 
     /// Parks a faulty app: records the blame, publishes the configured
@@ -1210,7 +1257,7 @@ impl DaemonShard {
     /// is keeping the sweep cursor current. A panic (or a poisoned
     /// latency stream overflowing the rate window) blames exactly one app
     /// — the cursor names the slot that was mid-step when the guard
-    /// tripped — that app is [quarantined](DaemonShard::quarantine_reason)
+    /// tripped — that app is [quarantined](DecisionView::quarantine_reason)
     /// and the sweep *resumes with its neighbor*, so every other app in
     /// the same quantum keeps being served; their decision sequences are
     /// bit-identical to a no-fault run, because the faulty slot's step
@@ -1225,6 +1272,11 @@ impl DaemonShard {
             &mut Vec<powerdial_heartbeats::TimestampDelta>,
         ) -> Result<u64, WindowOverflow>,
     ) -> u64 {
+        #[cfg(test)]
+        if std::mem::take(&mut self.escape_armed) {
+            self.in_flight = self.apps.first().map(|slot| slot.id.value());
+            panic!("injected escaping panic (unit-test hook)");
+        }
         let DaemonShard {
             apps,
             scratch,
@@ -1431,40 +1483,36 @@ impl DaemonShard {
     }
 }
 
-/// Commands sent from the daemon façade to a worker thread — only what
-/// needs the thread; everything else the façade does under the shard lock
-/// itself (see the module docs).
-enum Command {
-    /// Run one quantum on the shard; acknowledged with the beat count.
-    Tick,
-    /// Panic the worker thread itself, simulating a shard death whose
-    /// panic escaped containment (test-only by convention). Never
-    /// acknowledged — the sender observes the death on the ack channel.
-    Crash,
-    Shutdown,
+/// What the façade and one worker thread share: the hand-off block the
+/// two synchronize through, and the shard whichever of them holds the
+/// quantum runs it on.
+struct WorkerShared {
+    handoff: Handoff,
+    /// The worker's shard. Its thread locks it for the length of a quantum
+    /// it has claimed; the façade locks it for a quantum it runs itself
+    /// and, between ticks, for every other operation
+    /// ([`PowerDialDaemon::with_shard`]). After the thread dies
+    /// [`PowerDialDaemon::respawn_dead`] takes the surviving apps' live
+    /// state out of it.
+    shard: Mutex<DaemonShard>,
 }
 
-/// One spawned worker: its command/ack channels, join handle, and a
-/// façade-side handle on the shard itself.
+/// One spawned worker, as the façade keeps it.
 struct Worker {
-    commands: mpsc::Sender<Command>,
-    acks: mpsc::Receiver<u64>,
+    shared: Arc<WorkerShared>,
     thread: Option<JoinHandle<()>>,
-    /// The worker's shard. The worker thread locks it for the length of
-    /// one quantum per `Tick`; between ticks the façade locks it for
-    /// every other operation ([`PowerDialDaemon::with_shard`]), and after
-    /// the thread dies [`PowerDialDaemon::respawn_dead`] takes the
-    /// surviving apps' live state out of it.
-    shard: Arc<Mutex<DaemonShard>>,
-    /// Set when a send or receive on the worker's channels fails — the
-    /// thread panicked and is gone. A dead worker is never ticked again;
-    /// its apps stay parked on the dead shard until
+    /// Set when the thread is found dead, or when a quantum the façade ran
+    /// on its shard panicked. A dead worker is never ticked again; its
+    /// apps stay parked on the dead shard until
     /// [`PowerDialDaemon::respawn_dead`] migrates them, and the rest of
     /// the daemon keeps going.
     dead: bool,
     /// Applications currently placed on this worker. Workers with zero
-    /// apps are not ticked (no cross-thread round trip for empty shards).
+    /// apps are not ticked.
     apps: usize,
+    /// The façade's half of the hand-off: where the current tick's
+    /// quantum went, and when the sleeping thread is next worth waking.
+    dispatcher: Dispatcher,
 }
 
 /// The sharded multi-application PowerDial daemon.
@@ -1525,9 +1573,8 @@ pub struct PowerDialDaemon {
     next_worker: usize,
     total_beats: u64,
     ticks: u64,
-    /// Worker indices awaiting a tick ack (reused across ticks so the tick
-    /// loop never allocates).
-    tick_pending: Vec<usize>,
+    /// Which thread ran the workers' quanta, and what waking one cost.
+    handoff: HandoffCounts,
     /// Worker threads found dead so far (lifetime count; monotonic).
     shard_deaths: u64,
     /// Dead workers respawned by [`PowerDialDaemon::respawn_dead`].
@@ -1627,7 +1674,6 @@ impl PowerDialDaemon {
         let workers: Vec<Worker> = (0..config.workers)
             .map(|index| Self::spawn_worker(index, &config).expect("spawn daemon worker"))
             .collect();
-        let tick_pending = Vec::with_capacity(workers.len());
         Ok(PowerDialDaemon {
             config,
             workers,
@@ -1638,33 +1684,34 @@ impl PowerDialDaemon {
             next_worker: 0,
             total_beats: 0,
             ticks: 0,
-            tick_pending,
+            handoff: HandoffCounts::default(),
             shard_deaths: 0,
             shard_respawns: 0,
             apps_migrated: 0,
         })
     }
 
-    /// Builds one worker: its shard (shared with the façade through an
-    /// `Arc<Mutex>`), channels, and thread. Used
+    /// Builds one worker: its shard and hand-off block (one allocation,
+    /// shared with the thread) and the thread, which starts parked. Used
     /// both at construction and by [`PowerDialDaemon::respawn_dead`];
     /// spawn failure is fatal at construction but survivable during
     /// resurrection (the recovered apps fall back to the inline shard).
     fn spawn_worker(index: usize, config: &DaemonConfig) -> std::io::Result<Worker> {
-        let (command_tx, command_rx) = mpsc::channel::<Command>();
-        let (ack_tx, ack_rx) = mpsc::channel::<u64>();
-        let shard = Arc::new(Mutex::new(DaemonShard::from_config(config)));
-        let thread_shard = Arc::clone(&shard);
+        let shared = Arc::new(WorkerShared {
+            handoff: Handoff::new(),
+            shard: Mutex::new(DaemonShard::from_config(config)),
+        });
+        let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name(format!("powerdial-shard-{index}"))
-            .spawn(move || worker_main(thread_shard, command_rx, ack_tx))?;
+            .spawn(move || worker_main(&thread_shared))?;
+        shared.handoff.set_worker(thread.thread().clone());
         Ok(Worker {
-            commands: command_tx,
-            acks: ack_rx,
+            shared,
             thread: Some(thread),
-            shard,
             dead: false,
             apps: 0,
+            dispatcher: Dispatcher::new(),
         })
     }
 
@@ -1901,9 +1948,9 @@ impl PowerDialDaemon {
 
     /// Chooses the worker for a new app: `None` places it on the inline
     /// shard — always in inline mode, for the first
-    /// [`DaemonConfig::inline_apps`] registrations in threaded mode (small
-    /// fleets skip the cross-thread round trip), and whenever every worker
-    /// is dead. Otherwise round-robin over live workers.
+    /// [`DaemonConfig::inline_apps`] registrations in threaded mode, and
+    /// whenever every worker is dead. Otherwise round-robin over live
+    /// workers.
     fn pick_worker(&mut self) -> Option<usize> {
         if self.workers.is_empty() || self.inline_shard.len() < self.config.inline_apps {
             return None;
@@ -2055,32 +2102,49 @@ impl PowerDialDaemon {
         }
     }
 
-    /// Shared tick body: broadcast to live, non-empty workers first (so
-    /// their shards run concurrently with the inline shard), run the
-    /// inline shard, then collect acks. Returns the beats processed by the
-    /// shards that answered plus the first worker newly discovered dead,
-    /// if any. Allocation-free: the pending list is a reused buffer.
+    /// Shared tick body: offer each live, non-empty worker its quantum
+    /// (taken at once by a thread that is spinning, so its shard runs
+    /// concurrently with the inline one), run the inline shard, then bring
+    /// every worker's quantum home — collected from the thread that took
+    /// it, or run here, under the shard's uncontended lock, for a thread
+    /// that is asleep (see *Threading model* in the module docs). Either
+    /// way each shard has run exactly one `run_quantum` when this returns.
+    /// The `catch_unwind` gives a panic that escapes the sweep the same
+    /// blast radius here that it has on the thread: the shard dies (lock
+    /// poisoned, `in_flight` naming the culprit, exactly what
+    /// [`PowerDialDaemon::respawn_dead`] recovers), the caller does not.
+    /// Returns the beats processed plus the first worker newly discovered
+    /// dead, if any. Allocation-free, and without workers both loops are
+    /// empty.
     fn tick_impl(&mut self) -> (u64, Option<usize>) {
         let mut newly_dead = None;
-        self.tick_pending.clear();
-        for index in 0..self.workers.len() {
-            if self.workers[index].dead || self.workers[index].apps == 0 {
-                continue;
-            }
-            match self.workers[index].commands.send(Command::Tick) {
-                Ok(()) => self.tick_pending.push(index),
-                Err(_) => {
-                    self.mark_dead(index);
-                    newly_dead.get_or_insert(index);
-                }
+        for worker in &mut self.workers {
+            if !worker.dead && worker.apps > 0 {
+                worker.dispatcher.offer(&worker.shared.handoff);
             }
         }
         let mut beats = self.inline_shard.run_quantum();
-        for pending in 0..self.tick_pending.len() {
-            let index = self.tick_pending[pending];
-            match self.workers[index].acks.recv() {
-                Ok(shard_beats) => beats += shard_beats,
-                Err(_) => {
+        for index in 0..self.workers.len() {
+            let worker = &mut self.workers[index];
+            if worker.dead || worker.apps == 0 {
+                continue;
+            }
+            let WorkerShared { handoff, shard } = &*worker.shared;
+            let run_here = || {
+                let quantum = || {
+                    shard
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .run_quantum()
+                };
+                catch_unwind(AssertUnwindSafe(quantum)).ok()
+            };
+            match worker
+                .dispatcher
+                .finish(handoff, &mut self.handoff, run_here)
+            {
+                Some(shard_beats) => beats += shard_beats,
+                None => {
                     self.mark_dead(index);
                     newly_dead.get_or_insert(index);
                 }
@@ -2129,6 +2193,7 @@ impl PowerDialDaemon {
         }
         TelemetrySnapshot {
             liveness: self.liveness_counts(),
+            handoff: self.handoff,
             ..TelemetrySnapshot::from_shards(
                 self.ticks,
                 self.total_beats,
@@ -2180,11 +2245,12 @@ impl PowerDialDaemon {
     /// Returns `true` when a replacement thread now serves the shard's
     /// surviving apps at the same index.
     fn respawn_worker(&mut self, index: usize) -> bool {
-        // Join the corpse first, so its last writes to the shard are
-        // visible; then take the shard out from under the lock. An
-        // injected `Crash` panics while holding it, so the mutex is
-        // typically poisoned — the state under it is exactly what the dead
-        // worker last saw, and recovery wants it.
+        // Join the corpse first (a thread whose shard died under the
+        // façade was told to shut down and is on its way out); then take
+        // the shard out from under the lock. Whoever ran the fatal quantum
+        // panicked holding it, so the mutex is typically poisoned — the
+        // state under it is exactly what that quantum last saw, and
+        // recovery wants it.
         if let Some(thread) = self.workers[index].thread.take() {
             let _ = thread.join();
         }
@@ -2262,13 +2328,14 @@ impl PowerDialDaemon {
         if worker >= self.workers.len() || self.workers[worker].dead {
             return false;
         }
-        // `Crash` is never acknowledged: the death shows as a hung-up ack
-        // channel (or a failed send, had the thread already gone).
-        let target = &self.workers[worker];
-        if target.commands.send(Command::Crash).is_err() || target.acks.recv().is_err() {
-            self.mark_dead(worker);
+        // Delivered in whatever state the thread is (a sleeping one is
+        // woken for it); `false` means it had already died unseen.
+        let handoff = &self.workers[worker].shared.handoff;
+        if handoff.deliver(Command::Crash) {
+            handoff.await_dead();
         }
-        self.workers[worker].dead
+        self.mark_dead(worker);
+        true
     }
 
     /// Quarantine state of `id` as the façade observes it (through the
@@ -2353,10 +2420,11 @@ impl PowerDialDaemon {
     /// The one way into a shard outside a tick: runs `f` on the shard
     /// that owns placement `worker` — the inline shard directly, a
     /// worker's under its lock. The façade is `&mut self` and a tick
-    /// collects every ack before returning, so the lock is never
-    /// contended here; a dead worker's lock is poisoned (it died holding
-    /// it) and is recovered, the state under it being what the worker
-    /// last saw (`in_flight` names the slot it died stepping, if any).
+    /// brings every quantum home before returning, so the lock is never
+    /// contended here; a dead worker's lock is poisoned (the fatal
+    /// quantum panicked holding it) and is recovered, the state under it
+    /// being what that quantum last saw (`in_flight` names the slot it
+    /// died stepping, if any).
     fn with_shard<R>(&mut self, worker: Option<usize>, f: impl FnOnce(&mut DaemonShard) -> R) -> R {
         Self::shard_in(&mut self.inline_shard, &self.workers, worker, f)
     }
@@ -2372,6 +2440,7 @@ impl PowerDialDaemon {
         match worker {
             None => f(inline_shard),
             Some(index) => f(&mut workers[index]
+                .shared
                 .shard
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)),
@@ -2381,9 +2450,9 @@ impl PowerDialDaemon {
 
 impl Drop for PowerDialDaemon {
     fn drop(&mut self) {
-        for worker in &mut self.workers {
-            // The worker may already be gone if it panicked; ignore errors.
-            let _ = worker.commands.send(Command::Shutdown);
+        // Tell every thread first, then join: the wake-ups overlap.
+        for worker in &self.workers {
+            worker.shared.handoff.deliver(Command::Shutdown);
         }
         for worker in &mut self.workers {
             if let Some(thread) = worker.thread.take() {
@@ -2393,33 +2462,25 @@ impl Drop for PowerDialDaemon {
     }
 }
 
-/// Worker thread body: run one quantum per `Tick` under the shard lock
-/// (uncontended — the façade only takes it between ticks) and acknowledge
-/// with the beat count.
-fn worker_main(
-    shard: Arc<Mutex<DaemonShard>>,
-    commands: mpsc::Receiver<Command>,
-    acks: mpsc::Sender<u64>,
-) {
-    while let Ok(command) = commands.recv() {
+/// Worker thread body: serve the hand-off block — run a `Tick`'s quantum
+/// under the shard lock (uncontended: the façade takes it only while the
+/// block says this thread does not), letting go of it before the beat
+/// count is published.
+fn worker_main(shared: &WorkerShared) {
+    shared.handoff.serve(|command| {
         // A poisoned mutex here would mean a previous quantum's panic
-        // escaped — unreachable today (the sweep contains panics and a
-        // `Crash` kills the thread for good), but recovering the guard is
-        // the conservative choice either way.
-        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        let beats = match command {
-            Command::Tick => guard.run_quantum(),
+        // escaped on the façade — which retires the shard and shuts this
+        // thread down, so it is unreachable; recovering the guard is the
+        // conservative choice either way.
+        let mut shard = shared.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        if command == Command::Crash {
             // Deliberately panics while *holding the lock*: the façade
             // must cope with a poisoned shard mutex, the worst case a
             // real escaped panic would leave behind.
-            Command::Crash => panic!("injected worker crash (fault-injection hook)"),
-            Command::Shutdown => break,
-        };
-        drop(guard);
-        if acks.send(beats).is_err() {
-            break;
+            panic!("injected worker crash (fault-injection hook)");
         }
-    }
+        shard.run_quantum()
+    });
 }
 
 /// Where an [`IdleLadder`] currently sits: the escalation stage an idle
@@ -3462,5 +3523,149 @@ mod tests {
             assert_eq!(shared.latest_gain(), Some(2.0));
             assert_eq!(shared.latest(), decision(point));
         }
+    }
+
+    /// A daemon with one worker that owns every app, its twin without
+    /// workers, and the same apps registered on both.
+    fn worker_and_twin(
+        apps: usize,
+    ) -> (
+        PowerDialDaemon,
+        PowerDialDaemon,
+        Vec<AppHandle>,
+        Vec<AppHandle>,
+    ) {
+        let mut threaded = PowerDialDaemon::new(DaemonConfig {
+            workers: 1,
+            inline_apps: 0,
+            ..*inline_daemon().config()
+        })
+        .unwrap();
+        let mut twin = inline_daemon();
+        let threaded_apps = (0..apps)
+            .map(|_| threaded.register(runtime_config(), test_table()).unwrap())
+            .collect();
+        let twin_apps = (0..apps)
+            .map(|_| twin.register(runtime_config(), test_table()).unwrap())
+            .collect();
+        (threaded, twin, threaded_apps, twin_apps)
+    }
+
+    /// One 20-beat quantum into every app of both fleets, then one tick of
+    /// each daemon; the beats each tick reported.
+    fn quantum_on_both(
+        daemons: (&mut PowerDialDaemon, &mut PowerDialDaemon),
+        fleets: (&mut [AppHandle], &mut [AppHandle]),
+        now: &mut Timestamp,
+    ) -> (u64, u64) {
+        for _ in 0..20 {
+            *now += powerdial_heartbeats::TimestampDelta::from_millis(40);
+            for fleet in [&mut *fleets.0, &mut *fleets.1] {
+                for (index, app) in fleet.iter_mut().enumerate() {
+                    let offset = powerdial_heartbeats::TimestampDelta::from_millis(index as u64);
+                    app.beat(*now + offset).unwrap();
+                }
+            }
+        }
+        (daemons.0.tick(), daemons.1.tick())
+    }
+
+    fn assert_same_decisions(threaded: &[AppHandle], twin: &[AppHandle]) {
+        for (a, b) in threaded.iter().zip(twin) {
+            assert_eq!(a.beats_processed(), b.beats_processed());
+            assert_eq!(a.latest_point(), b.latest_point());
+            assert_eq!(
+                a.latest_gain().map(f64::to_bits),
+                b.latest_gain().map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn a_crash_reaches_a_spinning_and_a_sleeping_worker_alike() {
+        for asleep in [false, true] {
+            let (mut threaded, mut twin, mut apps, mut twin_apps) = worker_and_twin(2);
+            let mut now = Timestamp::ZERO;
+            let mut quantum = |threaded: &mut PowerDialDaemon, twin: &mut PowerDialDaemon| {
+                let beats =
+                    quantum_on_both((threaded, twin), (&mut apps, &mut twin_apps), &mut now);
+                assert_eq!(beats.0, beats.1);
+            };
+            if asleep {
+                quantum(&mut threaded, &mut twin);
+                // Far longer than the spin budget: the thread has parked,
+                // and an empty tick neither assigns to it nor wakes it.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                let before = threaded.handoff;
+                threaded.tick();
+                twin.tick();
+                assert_eq!(threaded.handoff.serial_ticks, before.serial_ticks + 1);
+                assert_eq!(threaded.handoff.rearms, before.rearms);
+            } else {
+                // Back-to-back busy ticks get the thread spinning — where
+                // the scheduler gives it a CPU of its own; elsewhere this
+                // crashes a thread that is waking or asleep again.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+                while threaded.handoff.hot_ticks < 3 && std::time::Instant::now() < deadline {
+                    quantum(&mut threaded, &mut twin);
+                }
+            }
+
+            assert!(threaded.inject_worker_panic(0));
+            assert!(!threaded.inject_worker_panic(0), "already dead");
+            assert!(threaded.workers[0].shared.shard.is_poisoned());
+            assert_eq!((threaded.live_workers(), threaded.shard_deaths()), (0, 1));
+            assert_eq!(threaded.respawn_dead(), 1);
+            assert_eq!(threaded.apps_migrated(), 2);
+            assert_eq!(threaded.quarantined_apps(), 0, "nobody was mid-step");
+            for _ in 0..5 {
+                quantum(&mut threaded, &mut twin);
+            }
+            assert_same_decisions(&apps, &twin_apps);
+        }
+    }
+
+    #[test]
+    fn a_panic_escaping_a_facade_run_quantum_kills_the_shard_not_the_caller() {
+        let (mut threaded, mut twin, mut apps, mut twin_apps) = worker_and_twin(2);
+        let mut now = Timestamp::ZERO;
+        // A fresh worker thread sleeps, so this tick's quantum runs on the
+        // façade — and panics outside the sweep's guard, mid-step on the
+        // shard's first app.
+        threaded.with_shard(Some(0), |shard| shard.escape_armed = true);
+        for app in apps.iter_mut().chain(twin_apps.iter_mut()) {
+            app.beat(now).unwrap();
+        }
+        assert!(matches!(
+            threaded.try_tick(),
+            Err(ControlError::ShardDead { shard: 0 })
+        ));
+        twin.tick();
+        assert_eq!(threaded.handoff, HandoffCounts::default());
+        assert!(threaded.workers[0].shared.shard.is_poisoned());
+        assert_eq!((threaded.live_workers(), threaded.shard_deaths()), (0, 1));
+        assert_eq!(threaded.try_tick().unwrap(), 0, "reported once");
+        assert_eq!(threaded.shard_deaths(), 1);
+
+        // Respawn joins the thread (told to shut down when its shard
+        // died), blames the app that was mid-step and keeps the other,
+        // whose undrained beat is still in its channel.
+        assert_eq!(threaded.respawn_dead(), 1);
+        assert_eq!(threaded.live_workers(), 1);
+        assert_eq!(
+            threaded.quarantine_reason(apps[0].id()),
+            Some(QuarantineReason::Panic)
+        );
+        assert_eq!(threaded.quarantine_reason(apps[1].id()), None);
+        assert_eq!(threaded.tick(), 1);
+        for _ in 0..3 {
+            let beats = quantum_on_both(
+                (&mut threaded, &mut twin),
+                (&mut apps[1..], &mut twin_apps[1..]),
+                &mut now,
+            );
+            assert_eq!(beats, (20, 20));
+        }
+        assert_same_decisions(&apps[1..], &twin_apps[1..]);
     }
 }

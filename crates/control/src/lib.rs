@@ -87,6 +87,7 @@ mod controller;
 pub mod daemon;
 mod dvfs;
 mod error;
+mod handoff;
 pub mod naive;
 mod runtime;
 #[cfg(target_os = "linux")]
@@ -113,5 +114,6 @@ pub use runtime::{
 #[cfg(target_os = "linux")]
 pub use supervisor::{Supervisor, SupervisorConfig};
 pub use telemetry::{
-    AppTelemetryReport, IncidentCounts, LivenessCounts, ShardTelemetry, TelemetrySnapshot,
+    AppTelemetryReport, HandoffCounts, IncidentCounts, LivenessCounts, ShardTelemetry,
+    TelemetrySnapshot,
 };

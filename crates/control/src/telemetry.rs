@@ -49,6 +49,9 @@
 //!   "liveness": {
 //!     "watched_processes": 1, "polled_apps": 0, "death_events": 0
 //!   },
+//!   "handoff": {
+//!     "hot_ticks": 230, "serial_ticks": 10, "rearms": 1, "collect_parks": 0
+//!   },
 //!   "decision_trace": [
 //!     {
 //!       "seq": 0, "timestamp_ns": 50000000, "app": 0, "point_idx": 1,
@@ -145,6 +148,26 @@ pub struct LivenessCounts {
     pub death_events: u64,
 }
 
+/// Which thread ran the worker shards' quanta, embedded in the snapshot's
+/// `handoff` section (see *Threading model* in [`crate::daemon`]). One
+/// count per worker shard per tick; all zero for a daemon without
+/// workers. Lifetime counts, kept by the façade.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HandoffCounts {
+    /// Quanta a worker thread took while spinning and ran in parallel
+    /// with the inline shard: no syscall on either side.
+    pub hot_ticks: u64,
+    /// Quanta the ticking thread ran itself because the worker thread was
+    /// asleep (or still waking): no syscall, no parallelism.
+    pub serial_ticks: u64,
+    /// Sleeping worker threads woken because beats were flowing: one
+    /// futex wake each.
+    pub rearms: u64,
+    /// Times the ticking thread gave up spinning for a quantum a worker
+    /// was still running and parked: one futex wait and wake each.
+    pub collect_parks: u64,
+}
+
 /// A complete telemetry snapshot of a daemon: per-app reports, exact
 /// fleet-wide rollups, and the merged decision trace.
 #[derive(Debug, Clone)]
@@ -167,6 +190,9 @@ pub struct TelemetrySnapshot {
     /// Producer-liveness counters (zeros as assembled by
     /// [`TelemetrySnapshot::from_shards`]; the daemon fills them in).
     pub liveness: LivenessCounts,
+    /// Worker hand-off counters (zeros as assembled by
+    /// [`TelemetrySnapshot::from_shards`]; the daemon fills them in).
+    pub handoff: HandoffCounts,
 }
 
 impl TelemetrySnapshot {
@@ -202,6 +228,7 @@ impl TelemetrySnapshot {
             trace,
             incidents,
             liveness: LivenessCounts::default(),
+            handoff: HandoffCounts::default(),
         }
     }
 
@@ -267,6 +294,18 @@ impl TelemetrySnapshot {
             "  \"liveness\": {{ \"watched_processes\": {watched_processes}, \
              \"polled_apps\": {polled_apps}, \
              \"death_events\": {death_events} }},\n"
+        ));
+        let HandoffCounts {
+            hot_ticks,
+            serial_ticks,
+            rearms,
+            collect_parks,
+        } = self.handoff;
+        out.push_str(&format!(
+            "  \"handoff\": {{ \"hot_ticks\": {hot_ticks}, \
+             \"serial_ticks\": {serial_ticks}, \
+             \"rearms\": {rearms}, \
+             \"collect_parks\": {collect_parks} }},\n"
         ));
         out.push_str("  \"decision_trace\": [");
         for (index, record) in self.trace.iter().enumerate() {

@@ -9,11 +9,14 @@
 //! must not allocate at all.
 //!
 //! The daemon runs in inline mode so the measured drain loop executes on
-//! the test thread, where the thread-local counter sees it.
+//! the test thread, where the thread-local counter sees it. The one test
+//! with a worker thread reads that thread's allocations from a second
+//! counter, which the allocator hook feeds on threads named like the
+//! daemon's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use powerdial_control::daemon::{AppHandle, DaemonConfig, PowerDialDaemon};
@@ -30,9 +33,54 @@ thread_local! {
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations made on the daemon's worker threads, whichever test they
+/// belong to (one test has any).
+static WORKER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Whether the calling thread is one of the daemon's `powerdial-shard-N`
+/// workers, by the name the OS has for it (15 bytes: `powerdial-shard`).
+/// Asked of the OS and not of `std::thread::current()`, which is not to be
+/// called from inside an allocator; only a yes is remembered, because a
+/// thread allocates before it has been given its name.
+#[cfg(target_os = "linux")]
+fn on_a_worker_thread() -> bool {
+    extern "C" {
+        fn pthread_self() -> usize;
+        fn pthread_getname_np(thread: usize, name: *mut u8, len: usize) -> i32;
+    }
+    thread_local! {
+        static WORKER: Cell<bool> = const { Cell::new(false) };
+    }
+    WORKER
+        .try_with(|worker| {
+            if !worker.get() {
+                let mut name = [0u8; 16];
+                // SAFETY: `name` is writable for the length passed, which
+                // is the 16 bytes the call requires.
+                let named =
+                    unsafe { pthread_getname_np(pthread_self(), name.as_mut_ptr(), name.len()) };
+                worker.set(named == 0 && name.starts_with(b"powerdial-shard"));
+            }
+            worker.get()
+        })
+        .unwrap_or(false)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn on_a_worker_thread() -> bool {
+    false
+}
+
+fn count_allocation() {
+    let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    if on_a_worker_thread() {
+        WORKER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -340,4 +388,121 @@ fn producer_death_allocates_nothing_until_the_reaped_ids_are_handed_over() {
         0,
         "a death is allocation-free until its app is handed to the caller"
     );
+}
+
+/// The worker hand-off allocates on neither side of it: not while the
+/// worker thread takes every quantum, not while the façade runs the
+/// quanta of a thread that sleeps, and not across the sleep → wake-up →
+/// first-quantum transition in between.
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_hand_off_does_not_allocate_on_either_thread() {
+    // The worker thread gets the second CPU this thread may use and this
+    // thread keeps to the first: left to itself a two-CPU host wakes the
+    // worker next to its waker, where it never gets to take a quantum.
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    let mut allowed = [0u64; 16];
+    let size = std::mem::size_of_val(&allowed);
+    // SAFETY: `allowed` is a writable 1024-bit CPU set of the stated size.
+    assert_eq!(
+        unsafe { sched_getaffinity(0, size, allowed.as_mut_ptr()) },
+        0
+    );
+    let mut cpus = (0..1024).filter(|cpu| allowed[cpu / 64] & (1 << (cpu % 64)) != 0);
+    let pin = |cpu: Option<usize>| {
+        let mut mask = [0u64; 16];
+        if let Some(cpu) = cpu {
+            mask[cpu / 64] = 1 << (cpu % 64);
+            // SAFETY: `mask` is a valid CPU set of the stated size.
+            assert_eq!(unsafe { sched_setaffinity(0, size, mask.as_ptr()) }, 0);
+        }
+    };
+    let (first, second) = (cpus.next(), cpus.next());
+    pin(second);
+    let mut daemon = PowerDialDaemon::new(DaemonConfig {
+        workers: 1,
+        channel_capacity: 64,
+        window_size: 20,
+        inline_apps: 1, // one app on the façade's shard, three on the worker's
+        idle_skip_limit: 0,
+        drain_cap: 0,
+        telemetry: true,
+        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
+        safe_point: 0,
+    })
+    .unwrap();
+    pin(second.and(first));
+    let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
+        .with_quantum_heartbeats(20)
+        .unwrap();
+    let mut apps: Vec<(AppHandle, Timestamp)> = (0..4)
+        .map(|_| {
+            (
+                daemon.register(config, test_table()).unwrap(),
+                Timestamp::ZERO,
+            )
+        })
+        .collect();
+    let mut round = 0u64;
+    let mut quanta = |daemon: &mut PowerDialDaemon, count: u64| {
+        for _ in 0..count {
+            assert_eq!(run_quantum(daemon, &mut apps, 20, round), 4 * 20);
+            round += 1;
+        }
+    };
+
+    // Warm: buffers grown, and the thread up and taking quanta — a thread
+    // allocates while it starts (std copies its name), and on a busy host
+    // that can be a while after the spawn. A host that never lets it run
+    // next to this thread leaves only the façade's side to measure.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut worker_ran = false;
+    while !worker_ran && std::time::Instant::now() < deadline {
+        quanta(&mut daemon, 50);
+        worker_ran = daemon.telemetry_snapshot().handoff.hot_ticks > 0;
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    quanta(&mut daemon, 10);
+
+    // One cycle: back-to-back quanta (the thread spins between them), a
+    // pause far longer than it spins for (it parks), a silent quantum the
+    // façade runs and wakes nobody for, then busy ones — the first run by
+    // the façade, which wakes the thread, the rest by whichever of them
+    // has it until the thread is up. What else the host runs decides which
+    // of those a cycle actually crosses, so: as many cycles as it takes to
+    // have seen them all, and no allocation in any.
+    let counts_before = daemon.telemetry_snapshot().handoff;
+    let mut counts = counts_before;
+    for _ in 0..50 {
+        let (mine, workers) = (allocations(), WORKER_ALLOCATIONS.load(Ordering::Relaxed));
+        quanta(&mut daemon, 200);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(daemon.tick(), 0);
+        quanta(&mut daemon, 200);
+        assert_eq!(allocations() - mine, 0, "the ticking thread allocated");
+        if worker_ran {
+            assert_eq!(
+                WORKER_ALLOCATIONS.load(Ordering::Relaxed) - workers,
+                0,
+                "the worker thread allocated"
+            );
+        }
+        counts = daemon.telemetry_snapshot().handoff;
+        if counts.hot_ticks > counts_before.hot_ticks
+            && counts.serial_ticks > counts_before.serial_ticks
+            && counts.rearms > counts_before.rearms
+        {
+            break;
+        }
+    }
+
+    eprintln!("hand-off across the window: {counts_before:?} -> {counts:?}");
+    assert!(counts.serial_ticks > counts_before.serial_ticks);
+    if worker_ran {
+        assert!(counts.hot_ticks > counts_before.hot_ticks);
+        assert!(counts.rearms > counts_before.rearms);
+    }
 }
