@@ -39,7 +39,7 @@ use powerdial::heartbeats::{HeartbeatTag, Timestamp, TimestampDelta};
 use powerdial::knobs::PointIdx;
 
 use crate::chaos::SplitMix64;
-use crate::hotpath::{synthetic_knob_table, TARGET_RATE_BPS};
+use crate::fleet::{synthetic_knob_table, TARGET_RATE_BPS};
 
 /// Knob settings in the synthetic table every app is served.
 const SETTINGS: usize = 8;
@@ -108,7 +108,7 @@ pub struct AdversarialReport {
     /// Per-app per-quantum bit-equality checks that ran (and passed).
     pub snapshots_compared: u64,
     /// The attacked daemon's final telemetry snapshot, rendered to JSON
-    /// (incidents section included) for downstream gate parsing.
+    /// (incidents section included), for the caller to parse.
     pub telemetry_json: String,
 }
 

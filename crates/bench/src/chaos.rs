@@ -37,7 +37,7 @@ use powerdial::control::supervisor::{Supervisor, SupervisorConfig};
 use powerdial::heartbeats::{Timestamp, TimestampDelta};
 use powerdial_client::{ClientConfig, DecisionSource, PowerDialClient};
 
-use crate::hotpath::{synthetic_knob_table, TARGET_RATE_BPS};
+use crate::fleet::{synthetic_knob_table, TARGET_RATE_BPS};
 
 /// Knob settings in the synthetic table every app is served.
 const SETTINGS: usize = 8;

@@ -10,6 +10,13 @@
 //! Set the environment variable `POWERDIAL_SCALE=quick` (or pass `--quick`)
 //! to force the scaled-down configuration; `POWERDIAL_SCALE=paper` forces the
 //! full configuration.
+//!
+//! Beside the figure and table harness the crate holds the fault harnesses
+//! (`chaos`: daemon SIGKILL recovery, also the `chaos` binary;
+//! `adversarial`: hostile clients; both Linux-only), the synthetic [`fleet`]
+//! they run on, and the strict [`json`] parser the snapshot tests use.
+//! Performance is not measured here: that is `benchmark/` and
+//! `BENCHMARK.json`.
 
 use powerdial::apps::{BodytrackApp, KnobbedApplication, SearchApp, SwaptionsApp, VideoEncoderApp};
 use powerdial::experiments::sim::SimulationOptions;
@@ -20,9 +27,8 @@ use powerdial_qos::QosLossBound;
 pub mod adversarial;
 #[cfg(target_os = "linux")]
 pub mod chaos;
-pub mod gate;
-pub mod hotpath;
-pub mod multiapp;
+pub mod fleet;
+pub mod json;
 
 /// Which configuration scale the harness runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,8 +2,8 @@
 //!
 //! Runs a real multi-app daemon loop, takes a
 //! `PowerDialDaemon::telemetry_snapshot`, and pushes the rendered JSON
-//! back through the bench crate's strict JSON parser — the same parser
-//! the perf gate trusts. This is the contract the snapshot promises:
+//! back through the bench crate's strict JSON parser
+//! (`powerdial_bench::json`). This is the contract the snapshot promises:
 //! hand-rolled rendering (serde is a no-op stub here) that nonetheless
 //! parses under a strict grammar, with per-app quantiles and *exact*
 //! fleet rollups (bucket-wise histogram merges, never averaged
@@ -16,9 +16,8 @@ use powerdial::control::{ControllerConfig, RuntimeConfig};
 use powerdial::heartbeats::channel::BeatSample;
 use powerdial::heartbeats::shm::{Segment, SegmentGeometry, ShmConsumer, ShmProducer};
 use powerdial::heartbeats::{HeartbeatTag, Timestamp, TimestampDelta};
-use powerdial_bench::gate::Json;
-use powerdial_bench::hotpath::synthetic_knob_table;
-use powerdial_bench::multiapp::{DaemonMultiAppLoop, BEATS_PER_QUANTUM};
+use powerdial_bench::fleet::{synthetic_knob_table, DaemonMultiAppLoop, BEATS_PER_QUANTUM};
+use powerdial_bench::json::Json;
 
 /// Pulls `key` as a number out of an object, failing loudly.
 fn num(value: &Json, key: &str) -> f64 {

@@ -365,7 +365,7 @@ impl PowerDialClient {
     /// Emits one heartbeat at `now` (sequence tag and latency since the
     /// previous beat). Wait-free.
     ///
-    /// Every [`BEAT_LIVENESS_STRIDE`]th beat (including the first) also
+    /// Every `BEAT_LIVENESS_STRIDE`th beat (including the first) also
     /// probes the daemon's liveness, so a client that beats frequently
     /// but polls [`PowerDialClient::current_decision`] rarely still
     /// starts its grace window from roughly when the daemon died, not

@@ -2576,10 +2576,11 @@ pub mod naive {
     //! What the daemon looked like before the lock-free rework: every
     //! application's beats go through a `Mutex<VecDeque>` channel
     //! ([`MutexChannel`]), and one thread drains and controls every
-    //! application in sequence. Kept for the `multiapp` benchmark (the
-    //! speedup denominator) and for equivalence tests — the control code
-    //! itself is *shared* with the lock-free shard, so any divergence
-    //! between the two is a channel bug, not a control bug.
+    //! application in sequence. Kept as the oracle of the equivalence
+    //! tests and of `benchmark/`'s output checks (every in-process
+    //! workload of `BENCHMARK.json` is replayed into it bit for bit) — the
+    //! control code itself is *shared* with the lock-free shard, so any
+    //! divergence between the two is a channel bug, not a control bug.
 
     use super::{AppId, AppShared, ControlState, DaemonConfig};
     use crate::error::ControlError;

@@ -9,14 +9,12 @@
 //! implementation. Every quantum it clones [`CalibrationPoint`]s (each
 //! owning a heap-allocated parameter setting) into four fresh `Vec`s, and
 //! every heartbeat clones the decided point into the returned
-//! [`RuntimeDecision`]. It exists for two reasons:
-//!
-//! * the equivalence property tests assert the index-based runtime plans
-//!   **beat-for-beat identical** schedules to this one;
-//! * the `powerdial-bench` hot-path benchmarks measure the speedup of the
-//!   index-based runtime against it.
-//!
-//! Do not use it outside tests and benchmarks.
+//! [`RuntimeDecision`]. It exists so the equivalence property tests can
+//! assert the index-based runtime plans **beat-for-beat identical**
+//! schedules to this one, and is compiled for this crate's tests only.
+//! What the index-based runtime costs is `control.runtime.boundary_ns`,
+//! `control.runtime.advance_ns_per_span` and
+//! `control.actuator.plan_compact_ns` in `BENCHMARK.json`.
 
 use powerdial_knobs::{CalibrationPoint, KnobTable};
 
@@ -27,8 +25,8 @@ use crate::runtime::{RuntimeConfig, RuntimeDecision};
 
 /// The original clone-based planner, preserved verbatim from the
 /// pre-optimization `Actuator` (minimal-speedup and race-to-idle policies).
-/// Public so the actuator's equivalence tests can pin the new index-based
-/// planner against it directly.
+/// The actuator's equivalence tests pin the index-based planner against
+/// it directly.
 pub fn plan(policy: ActuationPolicy, table: &KnobTable, requested_speedup: f64) -> Schedule {
     let requested = requested_speedup.max(0.0);
     match policy {

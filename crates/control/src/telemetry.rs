@@ -8,7 +8,8 @@
 //! histograms into exact fleet rollups (bucket-wise add), and rendering
 //! the whole thing as a JSON document. Rendering is hand-rolled — the
 //! workspace's `serde` is a no-op API stub — and the output is pinned to
-//! round-trip through the bench crate's strict JSON parser.
+//! round-trip through the bench crate's strict JSON parser
+//! (`powerdial_bench::json`, in `crates/bench/tests/telemetry_snapshot.rs`).
 //!
 //! # Snapshot schema
 //!

@@ -11,7 +11,9 @@
 //!   single CPU must get through 10 000 busy ticks in no more than twice
 //!   its worker-less twin's time. A thread that can only spin while the
 //!   façade is not running must never be waited for.
-//! * The snapshot's `handoff` counts say which thread did the work.
+//! * The snapshot's `handoff` counts say which thread did the work — and
+//!   for a fleet within the default `inline_apps`, that no worker thread
+//!   was ever offered any.
 //! * Dropping a daemon joins its threads at once, spinning or parked.
 //!
 //! Replay a failing schedule with `POWERDIAL_CHAOS_SEED=<seed>`. Timing
@@ -121,7 +123,11 @@ impl Fleet {
     }
 
     fn new(workers: usize, apps: usize) -> Fleet {
-        let mut daemon = PowerDialDaemon::new(config(workers)).unwrap();
+        Fleet::with_config(config(workers), apps)
+    }
+
+    fn with_config(config: DaemonConfig, apps: usize) -> Fleet {
+        let mut daemon = PowerDialDaemon::new(config).unwrap();
         let apps = (0..apps)
             .map(|_| daemon.register(runtime_config(), test_table()).unwrap())
             .collect::<Vec<_>>();
@@ -438,6 +444,37 @@ fn silence_wakes_nobody() {
         inline.busy_tick();
     }
     assert_eq!(inline.handoff(), HandoffCounts::default());
+}
+
+/// A fleet no larger than [`DaemonConfig::DEFAULT_INLINE_APPS`] never
+/// involves a worker thread, however many there are: a tick skips a worker
+/// that has no apps, so nothing is offered and nobody is woken. (What the
+/// mode costs is `react_solo` and `drain_threaded` in `BENCHMARK.json`.)
+#[test]
+fn a_solo_app_under_the_default_placement_never_involves_a_worker() {
+    let _alone = alone();
+    let fleet = |workers| {
+        let placement = DaemonConfig {
+            inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
+            ..config(workers)
+        };
+        Fleet::with_config(placement, 1)
+    };
+    let mut threaded = fleet(8);
+    let mut twin = fleet(0);
+    assert_eq!(threaded.daemon.workers(), 8);
+    for tick in 0..1_000 {
+        threaded.busy_tick();
+        twin.busy_tick();
+        let (a, b) = (&threaded.apps[0], &twin.apps[0]);
+        assert_eq!(
+            a.latest_gain().map(f64::to_bits),
+            b.latest_gain().map(f64::to_bits),
+            "tick {tick}"
+        );
+        assert_eq!(a.beats_processed(), b.beats_processed(), "tick {tick}");
+    }
+    assert_eq!(threaded.handoff(), HandoffCounts::default());
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! beats are beat-for-beat bit-identical to decisions computed over the
 //! same beats delivered through the in-heap channel**, for
 //!
-//! * a same-process producer (deterministic interleavings),
+//! * a same-process producer (deterministic interleavings), on the inline
+//!   shard and on worker shards,
 //! * a forked child that pushes and exits before the first drain,
 //! * a forked child streaming concurrently with the draining daemon
 //!   (nondeterministic batch boundaries — per-beat decisions must be
@@ -56,8 +57,13 @@ fn runtime_config() -> RuntimeConfig {
 }
 
 fn inline_daemon() -> PowerDialDaemon {
+    daemon(0)
+}
+
+/// With workers every app sits on a worker shard (`inline_apps: 0`).
+fn daemon(workers: usize) -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
-        workers: 0,
+        workers,
         channel_capacity: CAPACITY,
         window_size: 20,
         inline_apps: 0,
@@ -149,6 +155,51 @@ fn same_process_shm_decisions_match_channel_decisions() {
         "shm transport altered the decision sequence"
     );
     assert_eq!(view.beats_processed(), BEATS);
+}
+
+#[test]
+fn shm_apps_on_worker_shards_lose_nothing() {
+    // Mapped segments drained by worker threads, two to a shard: every
+    // tick accounts for every beat pushed, and each app ends where the
+    // same beats through an in-heap channel on the inline shard end.
+    const APPS: usize = 4;
+    const QUANTA: u64 = 25;
+    const QUANTUM: u64 = 20;
+    let mut threaded = daemon(2);
+    assert_eq!(threaded.workers(), 2);
+    let mut inline = inline_daemon();
+    let mut shm_apps = Vec::new();
+    let mut heap_apps = Vec::new();
+    for _ in 0..APPS {
+        let segment = Arc::new(
+            Segment::create(SegmentGeometry::for_beat_samples(CAPACITY).unwrap()).unwrap(),
+        );
+        let producer = ShmProducer::attach(Arc::clone(&segment)).unwrap();
+        let consumer = ShmConsumer::attach(segment).unwrap();
+        let view = threaded
+            .register_shm(runtime_config(), test_table(), consumer)
+            .unwrap();
+        shm_apps.push((producer, view));
+        heap_apps.push(inline.register(runtime_config(), test_table()).unwrap());
+    }
+    for quantum in 0..QUANTA {
+        for tag in quantum * QUANTUM..(quantum + 1) * QUANTUM {
+            for ((producer, _), heap_app) in shm_apps.iter_mut().zip(&mut heap_apps) {
+                producer.try_push(beat(tag)).unwrap();
+                heap_app.push_sample(beat(tag)).unwrap();
+            }
+        }
+        assert_eq!(threaded.tick(), APPS as u64 * QUANTUM, "quantum {quantum}");
+        assert_eq!(inline.tick(), APPS as u64 * QUANTUM, "quantum {quantum}");
+    }
+    for ((_, view), heap_app) in shm_apps.iter().zip(&heap_apps) {
+        assert_eq!(view.beats_processed(), QUANTA * QUANTUM);
+        assert_eq!(
+            view.latest_gain().unwrap().to_bits(),
+            heap_app.latest_gain().unwrap().to_bits()
+        );
+    }
+    assert_eq!(threaded.total_beats(), inline.total_beats());
 }
 
 #[test]

@@ -1,31 +1,38 @@
-//! The pre-optimization sliding window, kept as a reference baseline.
+//! Reference implementations the optimized ones are tested against.
 //!
-//! [`NaiveSlidingWindow`] is the recompute-on-read implementation the O(1)
-//! [`crate::SlidingWindow`] replaced: `total()` folds the whole window,
-//! `statistics()` collects the latencies into a scratch `Vec` and scans it
-//! four times. It exists for two reasons:
+//! * [`MutexChannel`] — the mutex-guarded channel the serial mutex daemon
+//!   (`powerdial_control::daemon::naive`) is built on: the oracle of the
+//!   daemon equivalence suites and of `benchmark/`'s output checks.
+//! * `NaiveSlidingWindow` (compiled for this crate's tests only) — the
+//!   recompute-on-read implementation the O(1) [`crate::SlidingWindow`]
+//!   replaced: `total()` folds the whole window, `statistics()` collects
+//!   the latencies into a scratch `Vec` and scans it four times. The
+//!   equivalence property tests in `stats.rs` assert the incremental
+//!   implementation matches it (rate/total bit-identical, mean and
+//!   variance to within 1e-9). What the incremental window costs is
+//!   `heartbeats.stats.fold_ns_per_beat`, `heartbeats.stats.push_ns` and
+//!   `heartbeats.stats.rate_ns` in `BENCHMARK.json`.
 //!
-//! * the equivalence property tests in `stats.rs` assert the incremental
-//!   implementation matches this one (rate/total bit-identical, mean and
-//!   variance to within 1e-9);
-//! * the `powerdial-bench` hot-path benchmarks measure the speedup of the
-//!   incremental implementation against it.
-//!
-//! Do not use it outside tests and benchmarks.
+//! Do not use either outside tests and benchmarks.
 
 use std::collections::VecDeque;
 
+#[cfg(test)]
 use crate::record::HeartRate;
+#[cfg(test)]
 use crate::stats::{RateStatistics, WindowOverflow};
+#[cfg(test)]
 use crate::time::TimestampDelta;
 
 /// The O(n)-per-query sliding window (pre-optimization reference).
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveSlidingWindow {
     capacity: usize,
     latencies: VecDeque<TimestampDelta>,
 }
 
+#[cfg(test)]
 impl NaiveSlidingWindow {
     /// Creates a window holding at most `capacity` latencies.
     ///

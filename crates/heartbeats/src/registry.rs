@@ -5,22 +5,13 @@
 //! PowerDial control daemon) can attach to a running application. This module
 //! provides the equivalent within one process: monitors are registered by
 //! name and observers look them up by [`MonitorId`] or name.
-//!
-//! Monitors can also be **shm-backed** ([`HeartbeatRegistry::register_shm`]):
-//! the application lives in *another process* and emits beats through a
-//! [`crate::shm`] segment; [`HeartbeatRegistry::pump_shm`] drains the
-//! segment and replays the beats into the local monitor, so observers see
-//! the same rates and statistics regardless of which side of the process
-//! boundary the application runs on.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::channel::BeatSample;
 use crate::error::HeartbeatError;
 use crate::monitor::{HeartbeatMonitor, MonitorConfig};
-use crate::shm::{PeerState, ShmConsumer};
 
 /// Identifier of a monitor within a [`HeartbeatRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -55,32 +46,6 @@ pub struct HeartbeatRegistry {
     next_id: u64,
     monitors: HashMap<u64, HeartbeatMonitor>,
     names: HashMap<String, u64>,
-    /// Shared-memory consumers of shm-backed monitors, keyed like
-    /// `monitors`. (This field is why the registry is no longer `Clone`:
-    /// a segment has exactly one consumer.)
-    shm: HashMap<u64, ShmBinding>,
-}
-
-/// A shm-backed monitor's segment consumer plus its reused drain scratch.
-#[derive(Debug)]
-struct ShmBinding {
-    consumer: ShmConsumer,
-    scratch: Vec<BeatSample>,
-}
-
-/// Drains a shm binding and replays the beats into its monitor, returning
-/// how many the monitor accepted. Beats a misbehaving producer stamped
-/// with non-monotone timestamps are skipped (never a panic — the segment
-/// is untrusted input).
-fn pump_binding(binding: &mut ShmBinding, monitor: &mut HeartbeatMonitor) -> usize {
-    binding.consumer.drain_into(&mut binding.scratch);
-    let mut accepted = 0;
-    for sample in &binding.scratch {
-        if monitor.try_heartbeat(sample.timestamp).is_ok() {
-            accepted += 1;
-        }
-    }
-    accepted
 }
 
 impl HeartbeatRegistry {
@@ -107,81 +72,7 @@ impl HeartbeatRegistry {
         Ok(MonitorId(id))
     }
 
-    /// Registers a monitor whose beats arrive from another process through
-    /// a shared-memory segment. Call [`HeartbeatRegistry::pump_shm`] (or
-    /// [`HeartbeatRegistry::pump_all_shm`]) periodically to replay drained
-    /// beats into the monitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeartbeatError::DuplicateMonitorName`] if a monitor with
-    /// the same name is already registered.
-    pub fn register_shm(
-        &mut self,
-        config: MonitorConfig,
-        consumer: ShmConsumer,
-    ) -> Result<MonitorId, HeartbeatError> {
-        let id = self.register(config)?;
-        self.shm.insert(
-            id.0,
-            ShmBinding {
-                consumer,
-                scratch: Vec::new(),
-            },
-        );
-        Ok(id)
-    }
-
-    /// Drains the segment of a shm-backed monitor and replays the beats
-    /// into it, returning how many beats the monitor accepted. Beats a
-    /// misbehaving producer stamped with non-monotone timestamps are
-    /// skipped (never a panic — the segment is untrusted input).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeartbeatError::UnknownMonitor`] if `id` is not a
-    /// registered shm-backed monitor.
-    pub fn pump_shm(&mut self, id: MonitorId) -> Result<usize, HeartbeatError> {
-        let binding = self
-            .shm
-            .get_mut(&id.0)
-            .ok_or(HeartbeatError::UnknownMonitor { id: id.0 })?;
-        let monitor = self
-            .monitors
-            .get_mut(&id.0)
-            .ok_or(HeartbeatError::UnknownMonitor { id: id.0 })?;
-        Ok(pump_binding(binding, monitor))
-    }
-
-    /// Pumps every shm-backed monitor once, returning the total beats
-    /// accepted.
-    pub fn pump_all_shm(&mut self) -> usize {
-        let mut accepted = 0;
-        for (id, binding) in &mut self.shm {
-            let Some(monitor) = self.monitors.get_mut(id) else {
-                continue;
-            };
-            accepted += pump_binding(binding, monitor);
-        }
-        accepted
-    }
-
-    /// True when `id` is a shm-backed monitor.
-    pub fn is_shm_backed(&self, id: MonitorId) -> bool {
-        self.shm.contains_key(&id.0)
-    }
-
-    /// Liveness of the producing process behind a shm-backed monitor
-    /// (`None` for unknown ids and in-heap monitors). A
-    /// [`PeerState::Dead`] producer will never beat again: pump once more
-    /// to collect the stragglers, then unregister.
-    pub fn shm_producer_state(&self, id: MonitorId) -> Option<PeerState> {
-        self.shm.get(&id.0).map(|b| b.consumer.producer_state())
-    }
-
-    /// Removes a monitor, returning it if it was registered. For
-    /// shm-backed monitors the segment consumer is dropped with it (beats
-    /// still in the segment are discarded).
+    /// Removes a monitor, returning it if it was registered.
     ///
     /// O(1): the name→id index entry is removed by the monitor's own name
     /// rather than by scanning every entry, so register/unregister churn
@@ -189,7 +80,6 @@ impl HeartbeatRegistry {
     /// stays constant-time regardless of how many monitors are registered.
     pub fn unregister(&mut self, id: MonitorId) -> Option<HeartbeatMonitor> {
         let monitor = self.monitors.remove(&id.0)?;
-        self.shm.remove(&id.0);
         let removed = self.names.remove(monitor.config().name());
         debug_assert_eq!(
             removed,
@@ -316,67 +206,6 @@ mod tests {
         let fresh = registry.register(MonitorConfig::new(name.clone())).unwrap();
         assert_ne!(fresh, id);
         assert_eq!(registry.find_by_name(&name), Some(fresh));
-    }
-
-    #[test]
-    fn shm_backed_monitor_pumps_beats() {
-        use crate::channel::BeatSample;
-        use crate::record::HeartbeatTag;
-        use crate::shm::{Segment, SegmentGeometry, ShmConsumer, ShmProducer};
-        use crate::time::TimestampDelta;
-        use std::sync::Arc;
-
-        let segment =
-            Arc::new(Segment::create(SegmentGeometry::for_beat_samples(32).unwrap()).unwrap());
-        let mut producer = ShmProducer::attach(Arc::clone(&segment)).unwrap();
-        let consumer = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
-
-        let mut registry = HeartbeatRegistry::new();
-        let id = registry
-            .register_shm(MonitorConfig::new("remote-app"), consumer)
-            .unwrap();
-        assert!(registry.is_shm_backed(id));
-        assert!(!registry.is_shm_backed(MonitorId(99)));
-        assert_eq!(registry.shm_producer_state(MonitorId(99)), None);
-        assert!(registry.shm_producer_state(id).unwrap().is_alive());
-
-        for tag in 0..10u64 {
-            producer
-                .try_push(BeatSample {
-                    tag: HeartbeatTag(tag),
-                    timestamp: Timestamp::from_millis(tag * 40),
-                    latency: if tag == 0 {
-                        TimestampDelta::ZERO
-                    } else {
-                        TimestampDelta::from_millis(40)
-                    },
-                })
-                .unwrap();
-        }
-        assert_eq!(registry.pump_shm(id).unwrap(), 10);
-        assert_eq!(registry.monitor(id).unwrap().total_beats(), 10);
-        // A second pump with nothing pending accepts nothing.
-        assert_eq!(registry.pump_all_shm(), 0);
-
-        // Non-monotone timestamps from a buggy producer are skipped, not
-        // panicked on.
-        producer
-            .try_push(BeatSample {
-                tag: HeartbeatTag(10),
-                timestamp: Timestamp::from_millis(1),
-                latency: TimestampDelta::ZERO,
-            })
-            .unwrap();
-        assert_eq!(registry.pump_shm(id).unwrap(), 0);
-        assert_eq!(registry.monitor(id).unwrap().total_beats(), 10);
-
-        // Unregistering drops the binding.
-        assert!(registry.unregister(id).is_some());
-        assert!(!registry.is_shm_backed(id));
-        assert!(matches!(
-            registry.pump_shm(id),
-            Err(HeartbeatError::UnknownMonitor { .. })
-        ));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   giving O(1)-amortized min/max under FIFO eviction.
 //!
 //! The pre-optimization recompute-on-read implementation is preserved as
-//! [`crate::naive::NaiveSlidingWindow`] and is property-tested against this
-//! one (and benchmarked, in `powerdial-bench`).
+//! `crate::naive::NaiveSlidingWindow` (compiled for this crate's tests
+//! only) and is property-tested against this one.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -307,7 +307,7 @@ impl SlidingWindow {
     /// The variance is computed as `(n·Σx² − (Σx)²) / n²` over **exact**
     /// integer nanosecond sums, so there is no catastrophic cancellation and
     /// no drift relative to a naive recompute (see the equivalence property
-    /// tests against [`crate::naive::NaiveSlidingWindow`]).
+    /// tests against `crate::naive::NaiveSlidingWindow`).
     pub fn statistics(&self) -> Option<RateStatistics> {
         let n = self.latencies.len();
         if n == 0 {

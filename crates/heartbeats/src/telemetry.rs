@@ -48,11 +48,11 @@
 //! sample in cache). At fleet scale the histograms exceed L2, so
 //! [`LatencyHistogram::prefetch`] lets the drain loop warm the lines
 //! while the decision kernel runs. End to end the daemon records one
-//! latency sample per drained beat and one QoS sample per quantum; the
-//! multiapp benchmark's `telemetry` section prices the instrumented vs
-//! uninstrumented drain at N = 512 (a few ns/beat on the single-core
-//! dev container; instrumented stays under the pre-telemetry committed
-//! baseline) and the perf gate pins the on/off ratio at 15% tolerance.
+//! latency sample per drained beat and one QoS sample per quantum;
+//! `control.daemon.telemetry_tax_pct` in `BENCHMARK.json` prices a tick
+//! against the same tick with `telemetry: false`, and
+//! `ladder.telemetry_ns_per_beat` is the histograms' own share of a
+//! quantum.
 //! The `no_alloc` suites prove the instrumented path never touches the
 //! allocator.
 

@@ -19,13 +19,13 @@
 //! A failure names the seed, so the schedule can be replayed with
 //! `POWERDIAL_CHAOS_SEED`. On top of the harness invariants, this test
 //! pins the incident telemetry: the attacked daemon's JSON snapshot is
-//! pushed through the strict gate parser and its `incidents` section
+//! pushed through the strict JSON parser and its `incidents` section
 //! must agree with what the campaign actually did.
 
 #![cfg(target_os = "linux")]
 
 use powerdial_bench::adversarial::{run_adversarial, seed_from_env, AdversarialConfig};
-use powerdial_bench::gate::Json;
+use powerdial_bench::json::Json;
 
 /// Concurrent instrumented applications (acceptance floor: 64).
 const APPS: usize = 64;
