@@ -241,7 +241,8 @@ fn snapshot_stays_sane_after_producer_sigkill_and_reap() {
 
 /// The reaper's cost is per producer *process*, not per segment — as a
 /// count, not a timing: 64 segments fed by one process hold exactly one
-/// watch (one pidfd), and none of them is probed by syscall.
+/// watch (one pidfd), and none of them is probed by syscall. A watched
+/// attach listener is not a process and is not counted as one.
 #[test]
 fn a_fleet_fed_by_one_process_holds_one_watch() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
@@ -277,6 +278,18 @@ fn a_fleet_fed_by_one_process_holds_one_watch() {
     // Registration asks the kernel nothing; the first reap settles every
     // claim, and finds them all naming this process.
     assert_eq!(liveness(&mut daemon), (0.0, 0.0, 0.0));
+    // An attach listener shares the readiness set with the producers
+    // without being one: it is in the set from here to the end of the
+    // test, and no count below moves for it.
+    #[cfg(unix)]
+    {
+        let socket = std::env::temp_dir().join(format!("pd-snapshot-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let listener = std::os::unix::net::UnixListener::bind(&socket).unwrap();
+        assert_eq!(daemon.watch_listener(&listener), cfg!(target_os = "linux"));
+        let _ = std::fs::remove_file(&socket);
+        assert_eq!(liveness(&mut daemon), (0.0, 0.0, 0.0));
+    }
     daemon.tick();
     assert!(daemon.reap_dead().is_empty());
     if cfg!(target_os = "linux") {

@@ -1,5 +1,6 @@
 //! The client proper: attach, beat, read decisions, degrade gracefully.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,6 +21,20 @@ use crate::telemetry::LadderTelemetry;
 /// realistic [`ClientConfig::grace`] for a client that beats but rarely
 /// polls.
 const BEAT_LIVENESS_STRIDE: u32 = 32;
+
+/// How long [`PowerDialClient::current_decision`] trusts an *alive* verdict
+/// on the daemon before asking the kernel again. The probe is a
+/// `kill(pid, 0)`, ~160 ns around a decision read of a few nanoseconds, so
+/// a client spin-polling for its next decision spent its time asking about
+/// a process that is almost never dead; sampled, it asks once per period
+/// and a death is noticed at most this much later than it otherwise would
+/// be. Fixed, not configurable: it only has to be long against the probe
+/// (600 of them) and short against every delay the ladder deals in —
+/// [`ClientConfig::grace`] is milliseconds at its smallest useful setting,
+/// the reattach backoff starts at [`ClientConfig::retry_backoff`], and
+/// reaping a killed daemon (until then a zombie, which `kill` calls alive)
+/// takes tens of microseconds by itself.
+const LIVENESS_SAMPLE_PERIOD: Duration = Duration::from_micros(100);
 
 /// One control decision, decoded from the segment's decision block.
 ///
@@ -154,6 +169,10 @@ pub struct PowerDialClient {
     #[cfg_attr(not(all(feature = "broker", target_os = "linux")), allow(dead_code))]
     next_reattach_at: Option<Instant>,
     beats_until_liveness_probe: u32,
+    /// The daemon PID the decision path last probed *alive*, and the poll
+    /// that asked — good for [`LIVENESS_SAMPLE_PERIOD`] and for that PID
+    /// only. `None` after a dead or absent verdict: those are never kept.
+    alive_verdict: Option<(u32, Instant)>,
     ladder: LadderTelemetry,
 }
 
@@ -181,6 +200,7 @@ impl PowerDialClient {
             reattach_attempt: 0,
             next_reattach_at: None,
             beats_until_liveness_probe: 0,
+            alive_verdict: None,
             ladder: LadderTelemetry::new(),
         })
     }
@@ -460,6 +480,21 @@ impl PowerDialClient {
     /// restarted daemon — on success the very same call usually returns
     /// [`DecisionSource::Published`] again, because the adopting daemon
     /// seeds the decision block before the broker replies.
+    ///
+    /// **Liveness is sampled.** Every call reads the daemon's PID word in
+    /// the segment; the kernel is asked about that PID (`kill(pid, 0)`) at
+    /// most once per 100 µs. What is kept between calls is one *alive*
+    /// verdict: the PID it was taken for and the clock reading of the call
+    /// that took it. It answers later calls while the word still holds
+    /// that PID and less than 100 µs have passed; a changed word (a
+    /// successor daemon, a detach, a scribble) is probed at once, and
+    /// *dead* and *absent* are never kept, so a client that has seen its
+    /// daemon gone asks on every call until one is back. The one thing
+    /// this costs: a client polling faster than every 100 µs can read
+    /// [`DecisionSource::Published`] from a daemon killed up to 100 µs
+    /// ago — the decision itself is the consistent, last published one
+    /// either way. A client that polls more slowly than that never reuses
+    /// a verdict. [`LadderTelemetry::liveness_probes`] counts the probes.
     pub fn current_decision(&mut self) -> CurrentDecision {
         self.current_decision_at(Instant::now())
     }
@@ -467,9 +502,9 @@ impl PowerDialClient {
     /// [`PowerDialClient::current_decision`] with an injected clock
     /// reading (tests).
     fn current_decision_at(&mut self, now: Instant) -> CurrentDecision {
-        let mut daemon_alive = self.producer.consumer_state().is_alive();
+        let mut daemon_alive = self.daemon_alive_at(now);
         if !daemon_alive && self.try_reattach(now) {
-            daemon_alive = self.producer.consumer_state().is_alive();
+            daemon_alive = self.daemon_alive_at(now);
         }
         self.note_liveness(daemon_alive, || now);
         if daemon_alive {
@@ -480,6 +515,32 @@ impl PowerDialClient {
         let current = self.decide(daemon_alive, now);
         self.ladder.observe(current.source, now);
         current
+    }
+
+    /// This poll's liveness verdict: the kept one while it holds (see
+    /// *Liveness is sampled* on [`PowerDialClient::current_decision`]),
+    /// otherwise a probe, kept in turn if it says alive.
+    fn daemon_alive_at(&mut self, now: Instant) -> bool {
+        let claimed = self
+            .producer
+            .segment()
+            .header()
+            .consumer_pid
+            .load(Ordering::Acquire);
+        if let Some((pid, probed_at)) = self.alive_verdict {
+            if pid == claimed && now.saturating_duration_since(probed_at) < LIVENESS_SAMPLE_PERIOD {
+                return true;
+            }
+        }
+        self.ladder.note_liveness_probe();
+        let state = self.producer.consumer_state();
+        // Keyed to the PID the probe itself read, which is the one it
+        // asked about should the word have changed since the load above.
+        self.alive_verdict = match state {
+            PeerState::Alive(pid) => Some((pid, now)),
+            PeerState::Absent | PeerState::Dead(_) => None,
+        };
+        state.is_alive()
     }
 
     /// The ladder walk proper, given this poll's liveness verdict.
@@ -824,6 +885,95 @@ mod tests {
             .consumer_pid
             .store(real_daemon_pid, Ordering::Release);
         assert_eq!(client.current_decision().source, DecisionSource::Published);
+    }
+
+    /// Liveness is sampled: a spin-polling client asks the kernel once per
+    /// sample period, not once per poll, and the count is exact under an
+    /// injected clock.
+    #[test]
+    fn a_live_verdict_is_probed_once_per_sample_period() {
+        let segment = segment(16);
+        let consumer = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
+        let mut client =
+            PowerDialClient::attach_segment(Arc::clone(&segment), ClientConfig::default()).unwrap();
+        consumer.publish_decision(decision(2, 1.5));
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 0);
+
+        let start = Instant::now();
+        let step = Duration::from_nanos(10);
+        // 10 000 polls 10 ns apart stay inside the first period (one
+        // probe); four times as many cross it three times, each time on
+        // the poll that lands exactly one period after the last probe.
+        for poll in 0..40_000u32 {
+            let elapsed = step * poll;
+            let current = client.current_decision_at(start + elapsed);
+            assert_eq!(current.source, DecisionSource::Published);
+            let periods = elapsed.as_nanos() / LIVENESS_SAMPLE_PERIOD.as_nanos();
+            assert_eq!(
+                u128::from(client.ladder_telemetry().liveness_probes()),
+                1 + periods,
+                "after poll {poll} at +{elapsed:?}"
+            );
+        }
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 4);
+        assert_eq!(client.ladder_telemetry().total_polls(), 40_000);
+    }
+
+    /// A verdict answers for the PID it was taken for and no other: a PID
+    /// word that changed between two polls is probed on the second even
+    /// when no time at all has passed, and what it learns is served.
+    #[test]
+    fn a_changed_pid_word_is_probed_at_once_and_dead_is_never_kept() {
+        let segment = segment(16);
+        let consumer = ShmConsumer::attach(Arc::clone(&segment)).unwrap();
+        let mut client = PowerDialClient::attach_segment(
+            Arc::clone(&segment),
+            config_with_grace(Duration::ZERO),
+        )
+        .unwrap();
+        consumer.publish_decision(decision(1, 1.25));
+        let now = Instant::now();
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::Published
+        );
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::Published
+        );
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 1);
+
+        let real_daemon_pid = segment.header().consumer_pid.load(Ordering::Acquire);
+        segment
+            .header()
+            .consumer_pid
+            .store(0x7FFF_FF00, Ordering::Release);
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::SafeState,
+            "same instant, other PID: the kept verdict does not apply"
+        );
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 2);
+        // Dead is asked again every time, so the way back is seen at once.
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::SafeState
+        );
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 3);
+        segment
+            .header()
+            .consumer_pid
+            .store(real_daemon_pid, Ordering::Release);
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::Published
+        );
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 4);
+        assert_eq!(
+            client.current_decision_at(now).source,
+            DecisionSource::Published
+        );
+        assert_eq!(client.ladder_telemetry().liveness_probes(), 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! application no more than a beat does:
 //!
 //! * a poll counter per [`DecisionSource`] rung (how often each rung was
-//!   served);
+//!   served), and a count of the polls that asked the kernel whether the
+//!   daemon is alive (liveness is sampled; the rest reused a verdict);
 //! * a ring of the last [`LADDER_TRANSITION_CAPACITY`] rung *changes*
 //!   ([`LadderTransition`]: from-rung, to-rung, the poll's clock
 //!   reading), overwriting the oldest when full, with a monotone
@@ -64,6 +65,7 @@ pub struct LadderTransition {
 #[derive(Debug, Clone)]
 pub struct LadderTelemetry {
     polls: [u64; RUNGS],
+    liveness_probes: u64,
     last: Option<DecisionSource>,
     ring: [Option<LadderTransition>; LADDER_TRANSITION_CAPACITY],
     head: usize,
@@ -75,6 +77,7 @@ impl LadderTelemetry {
     pub(crate) fn new() -> Self {
         LadderTelemetry {
             polls: [0; RUNGS],
+            liveness_probes: 0,
             last: None,
             ring: [None; LADDER_TRANSITION_CAPACITY],
             head: 0,
@@ -102,6 +105,19 @@ impl LadderTelemetry {
             }
         }
         self.last = Some(to);
+    }
+
+    /// Records one liveness probe made on the decision path.
+    pub(crate) fn note_liveness_probe(&mut self) {
+        self.liveness_probes += 1;
+    }
+
+    /// Daemon-liveness probes (`kill(pid, 0)`) made by decision polls. At
+    /// most one per 100 µs while the daemon lives, one per poll while it
+    /// does not; a successful reattach adds one to its poll. Probes on the
+    /// beat path are not counted here.
+    pub fn liveness_probes(&self) -> u64 {
+        self.liveness_probes
     }
 
     /// Polls that served the given rung.

@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use powerdial_client::{ClientConfig, Decision, DecisionSource, PowerDialClient};
+use powerdial_client::{ClientConfig, CurrentDecision, Decision, DecisionSource, PowerDialClient};
 use powerdial_control::daemon::{DaemonConfig, PowerDialDaemon};
 use powerdial_control::{ControllerConfig, RuntimeConfig};
 use powerdial_heartbeats::shm::process::{fork_child, ChildExit};
@@ -102,6 +102,99 @@ fn beat_until_boosted(client: &mut PowerDialClient) -> Decision {
     }
 }
 
+/// How long after a SIGKILLed daemon has been reaped a poll may still be
+/// served `Published`. The client samples the daemon's liveness once per
+/// 100 µs (see `current_decision`: "liveness is sampled"), so that is the
+/// bound; the rest is slack. It is held against the moment a poll
+/// *starts*, which a descheduled test thread cannot stretch: a poll that
+/// starts this long after the reap and still reads `Published` is a
+/// failure however long it then took. Reaping a small process takes a few
+/// tens of microseconds here, less than one sample period, which is why
+/// no test below may expect the *first* poll after `wait()` to have
+/// noticed.
+const DEATH_NOTICED_WITHIN: Duration = Duration::from_millis(5);
+
+/// Polls without pause until the client stops serving `Published` and
+/// returns that first degraded read; no poll started
+/// [`DEATH_NOTICED_WITHIN`] or more after `reaped` may read `Published`.
+fn poll_until_degraded(client: &mut PowerDialClient, reaped: Instant) -> CurrentDecision {
+    loop {
+        let started = Instant::now();
+        let current = client.current_decision();
+        if current.source != DecisionSource::Published {
+            return current;
+        }
+        let late = started.saturating_duration_since(reaped);
+        assert!(
+            late < DEATH_NOTICED_WITHIN,
+            "a poll started {late:?} after the daemon was reaped read Published"
+        );
+    }
+}
+
+/// The one behaviour sampling adds: a client that polls faster than the
+/// sample period keeps polling straight through a real SIGKILL, and is off
+/// `Published` within the bound — here with the kill issued from a second
+/// thread, so the poll loop never pauses and its verdict is never stale by
+/// accident.
+#[test]
+fn spin_polling_client_notices_a_sigkill_within_the_sampling_bound() {
+    let segment =
+        Arc::new(Segment::create(SegmentGeometry::for_beat_samples(64).unwrap()).unwrap());
+    let daemon = fork_daemon(&segment);
+    let config = ClientConfig {
+        grace: Duration::ZERO,
+        ..ClientConfig::default()
+    };
+    let mut client = PowerDialClient::attach_segment(Arc::clone(&segment), config).unwrap();
+    beat_until_boosted(&mut client);
+
+    let probes_before = client.ladder_telemetry().liveness_probes();
+    let polls_before = client.ladder_telemetry().total_polls();
+    let spinning_since = Instant::now();
+    let killer = std::thread::spawn(move || {
+        // Let the poll loop run hot for a while first.
+        std::thread::sleep(Duration::from_millis(20));
+        daemon.kill().unwrap();
+        assert!(matches!(daemon.wait().unwrap(), ChildExit::Signaled(_)));
+        Instant::now()
+    });
+    // Alive, then a zombie `kill` still answers for, then gone: the first
+    // read that is not `Published` ends the loop.
+    let mut last_published_poll = spinning_since;
+    let (degraded, noticed) = loop {
+        let started = Instant::now();
+        let current = client.current_decision();
+        if current.source != DecisionSource::Published {
+            break (current, started);
+        }
+        last_published_poll = started;
+        assert!(
+            started.duration_since(spinning_since) < Duration::from_secs(30),
+            "still Published long after the daemon was killed"
+        );
+    };
+    assert_eq!(degraded.source, DecisionSource::SafeState, "zero grace");
+    let reaped = killer.join().unwrap();
+    let late = last_published_poll.saturating_duration_since(reaped);
+    assert!(
+        late < DEATH_NOTICED_WITHIN,
+        "a poll started {late:?} after the daemon was reaped read Published"
+    );
+
+    // And it was sampling all the way there: at most one probe per sample
+    // period (and the one that found the daemon gone), far fewer than polls.
+    let ladder = client.ladder_telemetry();
+    let probes = ladder.liveness_probes() - probes_before;
+    let polls = ladder.total_polls() - polls_before;
+    let periods = noticed.duration_since(spinning_since).as_micros() as u64 / 100;
+    assert!(
+        probes <= periods + 2,
+        "{probes} probes in {periods} periods"
+    );
+    assert!(polls > 4 * probes, "{polls} polls made {probes} probes");
+}
+
 #[test]
 fn sigkilled_daemon_degrades_to_last_known_good_within_grace() {
     let segment =
@@ -137,6 +230,8 @@ fn sigkilled_daemon_degrades_to_last_known_good_within_grace() {
     daemon.kill().unwrap();
     assert!(matches!(daemon.wait().unwrap(), ChildExit::Signaled(_)));
     assert_eq!(sequence(), settled, "nothing was published after `last`");
+    let degraded = poll_until_degraded(&mut client, Instant::now());
+    assert_eq!(degraded.source, DecisionSource::LastKnownGood);
 
     // Within the grace window the client keeps the last-known-good
     // decision — repeatedly, deterministically, and without panicking.
@@ -184,8 +279,8 @@ fn sigkilled_daemon_with_zero_grace_falls_back_to_configured_safe_state() {
     assert!(matches!(daemon.wait().unwrap(), ChildExit::Signaled(_)));
 
     // Zero grace: the very first observation of the death settles on the
-    // safe state — deterministic, no sleeps in the test.
-    let current = client.current_decision();
+    // safe state — no rung in between, no sleeps in the test.
+    let current = poll_until_degraded(&mut client, Instant::now());
     assert_eq!(current.source, DecisionSource::SafeState);
     assert_eq!(current.decision, safe);
 

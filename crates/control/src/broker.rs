@@ -41,6 +41,15 @@
 //! * **fd exhaustion** (or any segment-creation failure) refuses that one
 //!   attach with [`HelloStatus::Resources`]; the broker itself holds no
 //!   per-refusal state and survives;
+//! * exhaustion **at `accept` itself** — `EMFILE`, `ENFILE`, `ENOBUFS`,
+//!   `ENOMEM`: the daemon is at its descriptor limit (one memfd per app
+//!   plus one pidfd per producer process against `RLIMIT_NOFILE`), or the
+//!   host is out of memory — serves nobody and breaks nothing:
+//!   [`AttachBroker::poll_accept`] reports "no connection"
+//!   (`Ok(None)`), the newcomer waits in the listen backlog, and every
+//!   app already attached keeps its controller. The connection is served
+//!   by the first poll after a descriptor comes free, or gives up on its
+//!   own hello timeout;
 //! * a client that vanishes **after** registration but before the fd
 //!   reaches it is surfaced as [`AttachOutcome::GrantAbandoned`] so the
 //!   caller can unregister the orphan instead of leaking it (the producer
@@ -49,6 +58,7 @@
 //!
 //! The `broker_faults` integration suite injects each of these.
 
+use std::os::fd::{AsFd, BorrowedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -198,6 +208,9 @@ pub struct AttachBroker {
     /// Registrations granted through this broker (drives the Busy check
     /// together with the caller-reported count).
     granted: usize,
+    /// Calls of [`AttachBroker::poll_accept`], each of which asks the
+    /// kernel at least once.
+    accept_calls: u64,
 }
 
 impl std::fmt::Debug for AttachBroker {
@@ -205,6 +218,7 @@ impl std::fmt::Debug for AttachBroker {
         f.debug_struct("AttachBroker")
             .field("socket_path", &self.config.socket_path)
             .field("granted", &self.granted)
+            .field("accept_calls", &self.accept_calls)
             .finish()
     }
 }
@@ -253,6 +267,7 @@ impl AttachBroker {
             listener,
             config,
             granted: 0,
+            accept_calls: 0,
         })
     }
 
@@ -264,6 +279,14 @@ impl AttachBroker {
     /// Attaches granted through this broker so far.
     pub fn granted(&self) -> usize {
         self.granted
+    }
+
+    /// How often [`AttachBroker::poll_accept`] has been called — how often
+    /// the listener has been asked for a connection, pending or not. A
+    /// serve loop that learns of connections from a readiness set calls it
+    /// about once per connection; one that does not, once per iteration.
+    pub fn accept_calls(&self) -> u64 {
+        self.accept_calls
     }
 
     /// True when the socket file no longer exists (or is no longer a
@@ -290,9 +313,11 @@ impl AttachBroker {
     /// only after the hello (and, for a reattach, the adopted segment)
     /// has been fully validated.
     ///
-    /// Returns `Ok(None)` when no connection was pending, otherwise the
-    /// connection's [`AttachOutcome`]. Per-connection failures never
-    /// surface as `Err` — only listener-level breakage does.
+    /// Returns `Ok(None)` when no connection was pending — or one is, but
+    /// this process cannot take another descriptor right now (see
+    /// *Robustness posture*: it stays queued) — otherwise the connection's
+    /// [`AttachOutcome`]. Per-connection failures never surface as `Err` —
+    /// only listener-level breakage does.
     ///
     /// # Errors
     ///
@@ -304,11 +329,15 @@ impl AttachBroker {
         current_apps: usize,
         register: impl FnOnce(AttachRequest) -> Result<DecisionView, ControlError>,
     ) -> Result<Option<AttachOutcome>, BrokerError> {
+        self.accept_calls += 1;
         let stream = loop {
             match self.listener.accept() {
                 Ok((stream, _addr)) => break stream,
                 Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                // Nothing is wrong with the listener and nothing was taken
+                // off its backlog: nobody was served, try again later.
+                Err(err) if out_of_resources(&err) => return Ok(None),
                 // A peer that connected and reset before we accepted is
                 // that peer's problem, not the listener's.
                 Err(err) if err.kind() == std::io::ErrorKind::ConnectionAborted => {
@@ -462,6 +491,29 @@ impl AttachBroker {
         let _ = send_with_fd(&stream, &HelloReply::new(status).encode(), None);
         AttachOutcome::Refused(status)
     }
+}
+
+/// The listening socket, for a readiness set to watch
+/// ([`PowerDialDaemon::watch_listener`](crate::daemon::PowerDialDaemon::watch_listener));
+/// accepting stays [`AttachBroker::poll_accept`]'s business.
+impl AsFd for AttachBroker {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.listener.as_fd()
+    }
+}
+
+/// True for the `accept` failures that mean *this process or this host*
+/// has run out of something (descriptors, socket buffers, memory) — states
+/// that pass, and that say nothing about the listener.
+fn out_of_resources(err: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    matches!(err.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
 }
 
 impl Drop for AttachBroker {

@@ -172,7 +172,8 @@
 //!   the first reap after it does.
 //! * **Event.** One `epoll_wait` with a zero timeout for the whole fleet,
 //!   whose cost does not depend on how many processes are watched — and no
-//!   epoll instance, hence no syscall, for a daemon with no shm app. An
+//!   epoll instance, hence no syscall, for a daemon with no shm app (and
+//!   no listener, below). An
 //!   exit is reported when it happens, not when the parent waits for the
 //!   zombie, and is fanned out to every app that watched the process.
 //! * **Dying.** An app whose claimant is dead stays *dying* until its ring
@@ -194,9 +195,21 @@
 //! `liveness` section) says how many processes are watched and how many
 //! apps are polled.
 //!
-//! The watch set is also the first half of a doorbell-driven serve loop:
-//! the broker's listener and per-segment doorbell eventfds belong in the
-//! same epoll instance, after which the loop can block on it.
+//! **The listener rides along.** The watch set is the serve loop's
+//! readiness set, and a producer exiting is not the only thing a loop
+//! wants to hear about: [`PowerDialDaemon::watch_listener`] takes the
+//! attach broker's listening socket into the same epoll instance
+//! (level-triggered, under a tag no process entry can carry), and the one
+//! `epoll_wait` above then also says whether a client is waiting
+//! ([`PowerDialDaemon::listener_pending`]). A loop that asks it calls
+//! [`AttachBroker::poll_accept`](crate::broker::AttachBroker::poll_accept)
+//! when somebody is there instead of paying `accept` → `EAGAIN`, over a
+//! microsecond, on every iteration of every reaction. A daemon that was
+//! never given a listener — every in-process one — polls exactly as
+//! before, and where the set refuses the listener `listener_pending` says
+//! "ask" every time, which is the loop there used to be. What is still
+//! outside the set is a per-segment doorbell; with it the loop could
+//! block on the set instead of polling it.
 //!
 //! # Fault containment and self-healing
 //!
@@ -1565,9 +1578,11 @@ pub struct PowerDialDaemon {
     /// Where each app lives and (for shm apps) what is known of its
     /// producer.
     placements: HashMap<u64, Placement>,
-    /// The producer processes of the shm apps, watched for exit. Holds
-    /// nothing (no epoll instance, no allocation) until an shm app's
-    /// producer claim is first seen by [`PowerDialDaemon::reap_dead`].
+    /// The producer processes of the shm apps, watched for exit, and the
+    /// attach listener if one was handed over. Holds nothing (no epoll
+    /// instance, no allocation) until an shm app's producer claim is first
+    /// seen by [`PowerDialDaemon::reap_dead`] or
+    /// [`PowerDialDaemon::watch_listener`] is called.
     watch: ProcessWatch,
     next_id: u64,
     next_worker: usize,
@@ -1990,6 +2005,35 @@ impl PowerDialDaemon {
         removed
     }
 
+    /// Hands the attach listener (an
+    /// [`AttachBroker`](crate::broker::AttachBroker), or any listening
+    /// socket) to the readiness set [`PowerDialDaemon::reap_dead`] polls
+    /// once per call, so that the same `epoll_wait` that collects producer
+    /// exits also says whether a client is connecting
+    /// ([`PowerDialDaemon::listener_pending`]). The set watches a
+    /// duplicate of the descriptor; a second call replaces the first.
+    ///
+    /// Returns whether the set took it. It does not where there is no
+    /// epoll or no descriptor left at start-up; nothing else changes then,
+    /// and [`PowerDialDaemon::listener_pending`] keeps answering "ask".
+    #[cfg(unix)]
+    pub fn watch_listener(&mut self, listener: &impl std::os::fd::AsFd) -> bool {
+        self.watch.watch_listener(listener.as_fd())
+    }
+
+    /// Whether a serve loop should call
+    /// [`AttachBroker::poll_accept`](crate::broker::AttachBroker::poll_accept)
+    /// now: `false` only when a listener is watched
+    /// ([`PowerDialDaemon::watch_listener`]) and the last
+    /// [`PowerDialDaemon::reap_dead`] found no connection waiting on it.
+    /// Before the first reap, and for a daemon whose set holds no
+    /// listener, the answer is `true`. Readiness is level-triggered: one
+    /// connection accepted from a backlog of two leaves this `true` after
+    /// the next reap.
+    pub fn listener_pending(&self) -> bool {
+        self.watch.listener_pending()
+    }
+
     /// Reaps abandoned shared-memory applications: every shm-registered
     /// app whose producing process has died **and** whose segment has been
     /// fully drained is unregistered, and the reaped ids are returned.
@@ -2007,13 +2051,16 @@ impl PowerDialDaemon {
     ///
     /// Called every supervision cycle, so what it costs while nobody dies
     /// is the cost of the serve loop: one non-blocking `epoll_wait` for
-    /// the whole fleet (none for a fleet without shm apps) and two relaxed
-    /// loads per shm app — see *The reap protocol* in the module docs.
+    /// the whole fleet (none for a daemon with neither an shm app nor a
+    /// watched listener) and two relaxed loads per shm app — see *The reap
+    /// protocol* in the module docs. That `epoll_wait` is also where
+    /// [`PowerDialDaemon::listener_pending`] gets its answer.
     /// That path and the one a death takes through it are allocation-free;
     /// only a call that actually reaps — rare by definition — pays for the
     /// list it returns.
     pub fn reap_dead(&mut self) -> Vec<AppId> {
-        // Event: exits among the watched producers since the last call.
+        // Event: exits among the watched producers since the last call
+        // (and, for `listener_pending`, whether a client is connecting).
         let deaths = self.watch.poll() > 0;
         let mut dead = Vec::new();
         for (id, placement) in &mut self.placements {

@@ -114,7 +114,7 @@ pub use runtime::{
     IndexedDecision, PowerDialRuntime, RuntimeConfig, RuntimeDecision, DEFAULT_QUANTUM_HEARTBEATS,
 };
 #[cfg(target_os = "linux")]
-pub use supervisor::{Supervisor, SupervisorConfig};
+pub use supervisor::{ServeLoop, Supervisor, SupervisorConfig};
 pub use telemetry::{
     AppTelemetryReport, HandoffCounts, IncidentCounts, LivenessCounts, ShardTelemetry,
     TelemetrySnapshot,

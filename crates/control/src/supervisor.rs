@@ -27,13 +27,13 @@
 //! and downstream experiments drive the *same* restart logic.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use powerdial_heartbeats::shm::process::{fork_child, ChildExit, ForkedChild};
 use powerdial_heartbeats::shm::{jittered_backoff, ShmError};
 use powerdial_knobs::KnobTable;
 
-use crate::broker::{AttachBroker, AttachRequest, BrokerConfig};
+use crate::broker::{AttachBroker, AttachRequest, BrokerConfig, BrokerError};
 use crate::daemon::{DaemonConfig, IdleLadder, PowerDialDaemon};
 use crate::{ControllerConfig, RuntimeConfig};
 
@@ -51,7 +51,11 @@ pub struct SupervisorConfig {
     pub baseline_rate: f64,
     /// Delay between the child's serve-loop iterations. Zero spins hot
     /// (lowest recovery latency, one core burned); a few tens of
-    /// microseconds is plenty for tests.
+    /// microseconds is plenty for tests. An iteration is a tick and a
+    /// reap; it implies an `accept` only where the daemon's readiness set
+    /// could not take the listener (see [`ServeLoop`]), so a waiting
+    /// client is noticed by one iteration and served by the next, with no
+    /// delay between the two.
     pub poll_interval: Duration,
     /// Base crash-loop backoff: [`restart`](Supervisor::restart) sleeps a
     /// deterministically jittered multiple of this before forking the
@@ -231,37 +235,137 @@ impl Drop for Supervisor {
     }
 }
 
-/// The child's entire life: bind, serve attaches (fresh and reattach),
-/// tick, reap, forever — until SIGKILL does it in. Exit codes are only
-/// ever observed when setup fails (the supervisor's caller sees them via
+/// The child's entire life: bind, hand the listener to the daemon's
+/// readiness set, and run [`ServeLoop::iterate`] forever — until SIGKILL
+/// does it in. Exit codes are only ever observed when setup fails or the
+/// listener breaks (the supervisor's caller sees them via
 /// [`ChildExit::Exited`]).
 fn daemon_process(config: &SupervisorConfig, table: &KnobTable) -> i32 {
-    let Ok(mut broker) = AttachBroker::bind(BrokerConfig::new(&config.socket_path)) else {
+    let Ok(broker) = AttachBroker::bind(BrokerConfig::new(&config.socket_path)) else {
         return 10;
     };
     let Ok(mut daemon) = PowerDialDaemon::new(config.daemon) else {
         return 11;
     };
-    let mut ladder = IdleLadder::new();
+    // Refused (no epoll on this platform, no descriptor to be had): the
+    // loop observes that and asks `accept` itself every iteration.
+    daemon.watch_listener(&broker);
+    let mut serve = ServeLoop::new(config, table, broker, daemon);
     loop {
-        let served = broker.poll_accept(daemon.app_count(), |request| {
-            let runtime = RuntimeConfig::new(ControllerConfig::new(
-                config.target_rate,
-                config.baseline_rate,
-            )?);
-            match request {
-                AttachRequest::Fresh(consumer) => {
-                    daemon.register_shm(runtime, table.clone(), consumer)
-                }
-                AttachRequest::Reattach(consumer) => {
-                    daemon.register_shm_adopted(runtime, table.clone(), consumer)
-                }
-            }
-        });
-        let served = match served {
-            Ok(outcome) => outcome.is_some(),
-            Err(_) => return 12,
-        };
+        if serve.iterate().is_err() {
+            return 12;
+        }
+    }
+}
+
+/// A supervised daemon's serve loop, one iteration at a time: the body
+/// of the forked child's `loop`, kept callable so that tests count and
+/// measure the loop the child really runs.
+///
+/// An iteration serves at most one attach (fresh and reattach alike),
+/// runs one actuation quantum, reaps, respawns, and then idles by
+/// [`SupervisorConfig::poll_interval`] or — once 200 µs have passed
+/// without work — the [`IdleLadder`].
+///
+/// **An iteration does not imply an `accept`.** The daemon's
+/// [`reap_dead`](PowerDialDaemon::reap_dead) already makes one
+/// `epoll_wait(0)` per iteration; when the broker's listener is in that
+/// set ([`PowerDialDaemon::watch_listener`], which [`Supervisor`]'s child
+/// calls before it builds the loop) the same call says whether a client
+/// is connecting, and [`AttachBroker::poll_accept`] runs on the first
+/// iteration and on iterations that follow such a report — once per
+/// connection, not once per iteration. The iteration that makes the
+/// report does not idle, so a client that wakes a napping daemon is
+/// served after that one nap, not two. Readiness is level-triggered and
+/// an iteration accepts one connection, so a burst is served one client
+/// per iteration until the backlog is empty; a connection that is
+/// reported but cannot be accepted (no descriptor left) is asked for
+/// again every iteration while the ladder escalates as for any other
+/// idle loop, which is what every iteration cost before.
+///
+/// Where the set holds no listener (it was refused at start-up, or never
+/// offered) every iteration asks `accept` itself, as every iteration used
+/// to; the loop reads which from [`PowerDialDaemon::listener_pending`]
+/// and has no setting for it.
+#[derive(Debug)]
+pub struct ServeLoop<'a> {
+    config: &'a SupervisorConfig,
+    table: &'a KnobTable,
+    broker: AttachBroker,
+    daemon: PowerDialDaemon,
+    ladder: IdleLadder,
+    /// When the current run of workless iterations began; `None` while
+    /// there is work.
+    idle_since: Option<Instant>,
+}
+
+/// How long after its last work the loop stays hot before it lets the
+/// [`IdleLadder`] count. The ladder escalates per *call* — 64 spins, 64
+/// yields, then naps — which bought about this much hot waiting while
+/// every iteration carried a 1.5 µs `accept`; an iteration of a small
+/// fleet now takes a fifth of a microsecond, and counted from the first
+/// workless one the loop would be napping within 50 µs. That is sooner
+/// than a client's next move: one that lost the race against a fresh
+/// daemon's `bind` retries ~150 µs later, found the daemon in a nap and
+/// was served 100 µs late (a quarter of a one-client fleet's whole
+/// set-up). The window restores what the count used to give, in the unit
+/// it was always meant in.
+const HOT_WINDOW: Duration = Duration::from_micros(200);
+
+impl<'a> ServeLoop<'a> {
+    /// A loop serving `broker`'s attaches into `daemon`, every app getting
+    /// `table` and the control problem `config` names. Apps `daemon`
+    /// already holds are served alongside.
+    pub fn new(
+        config: &'a SupervisorConfig,
+        table: &'a KnobTable,
+        broker: AttachBroker,
+        daemon: PowerDialDaemon,
+    ) -> Self {
+        ServeLoop {
+            config,
+            table,
+            broker,
+            daemon,
+            ladder: IdleLadder::new(),
+            idle_since: None,
+        }
+    }
+
+    /// One iteration; see the [type docs](ServeLoop). Allocation-free
+    /// unless it serves an attach or reaps an app.
+    ///
+    /// # Errors
+    ///
+    /// [`BrokerError::Listener`] when the listener itself is broken; the
+    /// quantum of that iteration has not run.
+    pub fn iterate(&mut self) -> Result<(), BrokerError> {
+        let ServeLoop {
+            config,
+            table,
+            broker,
+            daemon,
+            ladder,
+            idle_since,
+        } = self;
+        let asked = daemon.listener_pending();
+        let served = asked
+            && broker
+                .poll_accept(daemon.app_count(), |request| {
+                    let runtime = RuntimeConfig::new(ControllerConfig::new(
+                        config.target_rate,
+                        config.baseline_rate,
+                    )?);
+                    match request {
+                        AttachRequest::Fresh(consumer) => {
+                            daemon.register_shm(runtime, table.clone(), consumer)
+                        }
+                        AttachRequest::Reattach(consumer) => {
+                            daemon.register_shm_adopted(runtime, table.clone(), consumer)
+                        }
+                    }
+                })?
+                .is_some();
         let beats = daemon.tick();
         daemon.reap_dead();
         // Self-heal within the incarnation: a worker thread lost to a
@@ -269,16 +373,40 @@ fn daemon_process(config: &SupervisorConfig, table: &KnobTable) -> i32 {
         // its survivors migrated, so shard death never requires the
         // (much costlier) process-level restart above us.
         daemon.respawn_dead();
+        if !asked && daemon.listener_pending() {
+            // The reap has just found a client connecting, too late for
+            // this iteration's `accept`: go straight round to serve it,
+            // not through a nap. (Having asked and served nobody — the
+            // client gave up, or there is no descriptor to accept it
+            // with — is not this case: that idles, and escalates.)
+            return Ok(());
+        }
         if config.poll_interval > Duration::ZERO {
             std::thread::sleep(config.poll_interval);
         } else if served || beats > 0 {
             // Work arrived this iteration: stay hot for the next one.
             ladder.reset();
+            *idle_since = None;
+        } else if idle_since.get_or_insert_with(Instant::now).elapsed() < HOT_WINDOW {
+            // Work was here a moment ago (or the loop has only just
+            // started): more is likelier now than it will ever be.
+            std::hint::spin_loop();
         } else {
             // Escalate spin → yield → park so an idle daemon stops
             // burning the core while staying quick to re-engage.
             ladder.idle();
         }
+        Ok(())
+    }
+
+    /// The broker this loop accepts from.
+    pub fn broker(&self) -> &AttachBroker {
+        &self.broker
+    }
+
+    /// The daemon this loop ticks.
+    pub fn daemon(&self) -> &PowerDialDaemon {
+        &self.daemon
     }
 }
 

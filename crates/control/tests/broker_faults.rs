@@ -7,9 +7,10 @@
 //! robustness posture: truncated hellos, wrong magic, reserved flags,
 //! ABI mismatches, silent peers (slow-loris), connection storms past the
 //! app limit, registration failures, peers that vanish between hello and
-//! fd delivery, stolen socket paths, and stale socket files left by a
-//! crashed daemon. After each injected failure, a well-formed attach
-//! must still be granted over the same listener.
+//! fd delivery, stolen socket paths, stale socket files left by a
+//! crashed daemon, and a daemon with no file descriptor left to accept
+//! with. After each injected failure, a well-formed attach must still be
+//! granted over the same listener.
 
 #![cfg(target_os = "linux")]
 
@@ -25,6 +26,7 @@ use powerdial_control::{
     ControllerConfig, RuntimeConfig,
 };
 use powerdial_heartbeats::channel::BeatSample;
+use powerdial_heartbeats::shm::process::{fork_child, ChildExit};
 use powerdial_heartbeats::shm::{
     recv_exact_with_fd, send_with_fd, HelloReply, HelloRequest, HelloStatus, Segment,
     SegmentGeometry, ShmConsumer, ShmProducer, HELLO_REPLY_LEN, SEGMENT_ABI_VERSION,
@@ -564,5 +566,169 @@ fn requested_capacity_is_clamped_to_the_configured_ceiling() {
         segment.geometry().capacity(),
         4096,
         "a greedy request is clamped to BrokerConfig::max_capacity"
+    );
+}
+
+mod rlimit {
+    pub const RLIMIT_NOFILE: i32 = 7;
+    pub const EMFILE: i32 = 24;
+
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct RLimit {
+        pub current: u64,
+        pub maximum: u64,
+    }
+
+    extern "C" {
+        pub fn getrlimit(resource: i32, limit: *mut RLimit) -> i32;
+        pub fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
+    }
+
+    /// Lowers this process's soft descriptor limit to zero — everything
+    /// open stays open, nothing new can be — and returns the limit it
+    /// replaced. `Err` is an exit code.
+    pub fn exhaust_fds() -> Result<RLimit, i32> {
+        let mut saved = RLimit {
+            current: 0,
+            maximum: 0,
+        };
+        // SAFETY: both are valid `struct rlimit`s for their calls.
+        unsafe {
+            if getrlimit(RLIMIT_NOFILE, &mut saved) != 0 {
+                return Err(30);
+            }
+            let starved = RLimit {
+                current: 0,
+                ..saved
+            };
+            if setrlimit(RLIMIT_NOFILE, &starved) != 0 {
+                return Err(31);
+            }
+        }
+        match std::fs::File::open("/proc/self/stat") {
+            Err(error) if error.raw_os_error() == Some(EMFILE) => Ok(saved),
+            _ => Err(32),
+        }
+    }
+
+    /// Puts back the limit [`exhaust_fds`] replaced.
+    pub fn release_fds(saved: &RLimit) -> Result<(), i32> {
+        // SAFETY: `saved` is a valid `struct rlimit`.
+        if unsafe { setrlimit(RLIMIT_NOFILE, saved) } != 0 {
+            return Err(33);
+        }
+        Ok(())
+    }
+}
+
+/// The body of [`a_daemon_out_of_descriptors_keeps_its_apps_and_its_queue`],
+/// in a process of its own. The return value is its exit code: 0, or the
+/// step that went wrong.
+fn serve_through_fd_exhaustion() -> Result<(), i32> {
+    let path = socket_path("emfile");
+    let mut broker = AttachBroker::bind(BrokerConfig::new(&path)).map_err(|_| 10)?;
+    let mut daemon = inline_daemon();
+
+    // One app attaches while there are descriptors…
+    let mut early = UnixStream::connect(&path).map_err(|_| 11)?;
+    early
+        .write_all(&HelloRequest::new(64).encode())
+        .map_err(|_| 12)?;
+    let Ok(Some(AttachOutcome::Granted(view))) = broker.poll_accept(0, register_with(&mut daemon))
+    else {
+        return Err(13);
+    };
+    let mut reply = [0u8; HELLO_REPLY_LEN];
+    let fd = recv_exact_with_fd(&early, &mut reply)
+        .ok()
+        .flatten()
+        .ok_or(14)?;
+    let segment = Segment::attach_fd(std::fs::File::from(fd)).map_err(|_| 15)?;
+    let mut producer = ShmProducer::attach(Arc::new(segment)).map_err(|_| 16)?;
+
+    // …and one connects and says hello just before they run out (its own
+    // end of the connection needs one too), so it waits in the backlog.
+    let mut late = UnixStream::connect(&path).map_err(|_| 17)?;
+    late.write_all(&HelloRequest::new(64).encode())
+        .map_err(|_| 18)?;
+    let saved = rlimit::exhaust_fds()?;
+
+    // `accept` now fails with EMFILE. That is nobody's fault and nothing
+    // is wrong with the listener: no error, nobody served, again and again.
+    let mut decisions = Vec::new();
+    let mut tag = 0u64;
+    for _quantum in 0..6 {
+        match broker.poll_accept(daemon.app_count(), register_with(&mut daemon)) {
+            Ok(None) => {}
+            // What it did before the fix: `daemon_process` answers this
+            // with `return 12`, and every attached app loses its daemon.
+            Err(BrokerError::Listener(_)) => return Err(20),
+            Ok(Some(_)) | Err(_) => return Err(21),
+        }
+        // The app attached before is still controlled: it beats too
+        // slowly, and the decisions it reads back keep moving.
+        for _ in 0..20 {
+            producer
+                .try_push(BeatSample {
+                    tag: HeartbeatTag(tag),
+                    timestamp: Timestamp::from_millis(tag * 50),
+                    latency: TimestampDelta::from_millis(if tag == 0 { 0 } else { 50 }),
+                })
+                .map_err(|_| 22)?;
+            tag += 1;
+        }
+        if daemon.tick() != 20 || !daemon.reap_dead().is_empty() {
+            return Err(23);
+        }
+        let powerdial_heartbeats::shm::DecisionRead::Ready(decision) = producer.read_decision()
+        else {
+            return Err(24);
+        };
+        decisions.push(decision.gain_bits);
+    }
+    decisions.dedup();
+    if decisions.len() < 3 || view.beats_processed() != tag {
+        return Err(25);
+    }
+
+    // A descriptor comes free: the client that waited is served by the
+    // next poll, with the hello it sent before the shortage.
+    rlimit::release_fds(&saved)?;
+    let Ok(Some(AttachOutcome::Granted(_))) =
+        broker.poll_accept(daemon.app_count(), register_with(&mut daemon))
+    else {
+        return Err(26);
+    };
+    let granted = recv_exact_with_fd(&late, &mut reply).map_err(|_| 27)?;
+    if read_status(&reply) != HelloStatus::Granted || granted.is_none() {
+        return Err(28);
+    }
+    if daemon.app_count() != 2 || broker.granted() != 2 {
+        return Err(29);
+    }
+    Ok(())
+}
+
+/// Regression: `accept` failing for want of a descriptor (`EMFILE`; the
+/// same goes for `ENFILE`, `ENOBUFS`, `ENOMEM`) used to surface as
+/// `BrokerError::Listener`, which the supervised daemon answers by
+/// exiting — one newcomer at a daemon's descriptor limit took every
+/// attached app's controller down. It is a transient state of the
+/// process: the poll reports nobody, the connection stays queued, the
+/// attached apps go on being controlled, and the newcomer is granted once
+/// a descriptor is to be had. Forked, because the limit is per process.
+#[test]
+fn a_daemon_out_of_descriptors_keeps_its_apps_and_its_queue() {
+    let child = fork_child(|| match serve_through_fd_exhaustion() {
+        Ok(()) => 0,
+        Err(code) => code,
+    })
+    .unwrap();
+    assert_eq!(
+        child.wait().unwrap(),
+        ChildExit::Exited(0),
+        "exit code = the failed step of serve_through_fd_exhaustion \
+         (20: poll_accept returned Err(Listener), the bug)"
     );
 }

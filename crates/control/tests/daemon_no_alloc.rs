@@ -275,6 +275,102 @@ fn per_quantum_shm_drain_loop_does_not_allocate() {
     );
 }
 
+/// The supervised daemon's whole serve-loop iteration — not only the tick
+/// inside it — over a window in which nobody connects, with the broker's
+/// listener in the daemon's readiness set: the listener check, the
+/// quantum, the reap scan, the respawn check and the idle ladder allocate
+/// nothing, on busy iterations and on empty ones, and `accept` is not
+/// asked once.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_loop_iteration_does_not_allocate_while_nobody_connects() {
+    use powerdial_control::{AttachBroker, BrokerConfig, ServeLoop, SupervisorConfig};
+
+    let socket_path =
+        std::env::temp_dir().join(format!("pd-no-alloc-{}-serve.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket_path);
+    let supervisor_config = SupervisorConfig {
+        socket_path: socket_path.clone(),
+        daemon: DaemonConfig {
+            workers: 0, // inline: the whole iteration runs on this thread
+            channel_capacity: 64,
+            window_size: 20,
+            inline_apps: 0,
+            idle_skip_limit: 0,
+            drain_cap: 0,
+            telemetry: true,
+            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
+            safe_point: 0,
+        },
+        target_rate: 30.0,
+        baseline_rate: 30.0,
+        poll_interval: std::time::Duration::ZERO,
+        restart_backoff: std::time::Duration::ZERO,
+        restart_backoff_cap: std::time::Duration::ZERO,
+    };
+    let table = test_table();
+    let broker = AttachBroker::bind(BrokerConfig::new(&socket_path)).unwrap();
+    let mut daemon = PowerDialDaemon::new(supervisor_config.daemon).unwrap();
+    let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
+        .with_quantum_heartbeats(20)
+        .unwrap();
+    let mut producers: Vec<(ShmProducer, u64)> = (0..4)
+        .map(|_| {
+            let segment =
+                Arc::new(Segment::create(SegmentGeometry::for_beat_samples(64).unwrap()).unwrap());
+            let producer = ShmProducer::attach(Arc::clone(&segment)).unwrap();
+            let consumer = ShmConsumer::attach(segment).unwrap();
+            daemon
+                .register_shm(config, table.clone(), consumer)
+                .unwrap();
+            (producer, 0)
+        })
+        .collect();
+    assert!(daemon.watch_listener(&broker));
+    let mut serve = ServeLoop::new(&supervisor_config, &table, broker, daemon);
+
+    // Every fourth iteration finds no beats, so the idle arm (spin, never
+    // far enough up the ladder to sleep) is inside the window too.
+    let mut iterate = |serve: &mut ServeLoop, round: u64| {
+        if round % 4 != 3 {
+            for (index, (producer, tag)) in producers.iter_mut().enumerate() {
+                for beat in 0..20u64 {
+                    let jitter = (round * 13 + beat * 7 + index as u64) % 60;
+                    producer
+                        .try_push(BeatSample {
+                            tag: HeartbeatTag(*tag),
+                            timestamp: Timestamp::from_millis(*tag * 40),
+                            latency: TimestampDelta::from_millis(15 + jitter),
+                        })
+                        .expect("segment sized for a full quantum");
+                    *tag += 1;
+                }
+            }
+        }
+        serve.iterate().unwrap();
+    };
+    // Warm scratch and planning buffers, and let the first reap settle
+    // the producer claims (a pidfd, the watch table's first slot).
+    for round in 0..12u64 {
+        iterate(&mut serve, round);
+    }
+    assert_eq!(serve.broker().accept_calls(), 1, "the first iteration's");
+
+    let before = allocations();
+    for round in 12..212u64 {
+        iterate(&mut serve, round);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a serve-loop iteration that serves nobody must not allocate"
+    );
+    assert_eq!(serve.broker().accept_calls(), 1, "nobody connected");
+    assert_eq!(serve.daemon().total_beats(), 159 * 20 * 4);
+    drop(serve);
+    let _ = std::fs::remove_file(&socket_path);
+}
+
 /// A producer that dies *inside* the measured window: the exit event, the
 /// fan-out to the app that watched it, the wake of its undrained slot and
 /// the tick that drains the tail allocate nothing. The first allocation

@@ -25,7 +25,8 @@
 //!   decision read-back path;
 //! * [`watch`] — [`ProcessWatch`]: producer-process death as an event
 //!   (one pidfd per process in one epoll instance) instead of a per-segment
-//!   poll of PIDs;
+//!   poll of PIDs, and the attach listener's readiness from the same
+//!   `epoll_wait`;
 //! * [`fdpass`] — `SCM_RIGHTS` fd passing and the hello wire protocol the
 //!   attach broker (`powerdial-control`) and `powerdial-client` speak;
 //! * [`process`] — fork/wait helpers for the cross-process tests and the

@@ -1,5 +1,6 @@
 //! Process death as an event: one `epoll` instance over one pidfd per
-//! watched process.
+//! watched process — and, beside them, the listening socket a serve loop
+//! accepts from.
 //!
 //! [`ShmPeerProbe::producer_state`](crate::shm::ShmPeerProbe::producer_state)
 //! answers "is this segment's producer dead?" by asking the kernel about a
@@ -27,11 +28,18 @@
 //! the first watch is granted, and [`ProcessWatch::poll`] makes no syscall
 //! before that.
 //!
-//! The watch set is the first half of the serve loop's readiness set: the
-//! broker's listener and per-segment doorbells belong in the same epoll
-//! instance, at which point the loop can block on it instead of polling.
-//! Implicit overflow semantics are banned in this module (clippy
-//! `arithmetic_side_effects`).
+//! The watch set is the serve loop's readiness set, and a process exiting
+//! is one of two things it can report. The other is a **listening socket**
+//! ([`ProcessWatch::watch_listener`]): the same `epoll_wait` that collects
+//! exits says whether a connection is waiting to be accepted
+//! ([`ProcessWatch::listener_pending`]), so a loop that polls the set
+//! every iteration anyway need not also ask `accept` — a microsecond of
+//! `EAGAIN` — every iteration. The listener is level-triggered on purpose:
+//! a caller that accepts one connection per report must find the backlog
+//! behind it still readable at the next poll. What remains outside the set
+//! is a per-segment doorbell, after which the loop could block on the set
+//! instead of polling it. Implicit overflow semantics are banned in this
+//! module (clippy `arithmetic_side_effects`).
 
 #![deny(clippy::arithmetic_side_effects)]
 
@@ -82,6 +90,11 @@ mod sys {
 #[cfg(target_os = "linux")]
 const EVENT_BATCH: usize = 16;
 
+/// The `data` word the listener is registered under. Every other
+/// registration carries its entry index, a `u32`, so this names no entry.
+#[cfg(target_os = "linux")]
+const LISTENER_TAG: u64 = u64::MAX;
+
 /// A granted watch: names one watched process until
 /// [`ProcessWatch::release`]d.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +130,8 @@ struct Entry {
     dead: bool,
 }
 
-/// A set of watched processes; see the [module docs](self).
+/// A set of watched processes (and at most one listening socket); see the
+/// [module docs](self).
 #[derive(Debug)]
 #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 pub struct ProcessWatch {
@@ -126,6 +140,13 @@ pub struct ProcessWatch {
     /// Grown on demand: one slot per distinct live claimant, reused.
     entries: Vec<Entry>,
     death_events: u64,
+    /// This set's own duplicate of the watched listening socket, −1 while
+    /// there is none. A duplicate, so that the registration is the set's
+    /// to remove whatever its owner does with the original.
+    listener: i32,
+    /// Whether a connection may be waiting on `listener`: what the last
+    /// poll saw, and `true` from the watch until the first poll.
+    listener_ready: bool,
 }
 
 impl Default for ProcessWatch {
@@ -141,6 +162,8 @@ impl ProcessWatch {
             epoll: -1,
             entries: Vec::new(),
             death_events: 0,
+            listener: -1,
+            listener_ready: false,
         }
     }
 
@@ -202,25 +225,33 @@ impl ProcessWatch {
         outcome
     }
 
-    /// Takes an open pidfd into the epoll set (created on first use) and
-    /// the entry table, in a free slot if there is one.
+    /// Registers `fd` in the epoll set (created on first use) for
+    /// level-triggered readability, reported under `data`. False when the
+    /// kernel refuses either step.
     #[cfg(target_os = "linux")]
-    fn admit(&mut self, pid: u32, nonce: u64, fd: i32) -> Watched {
-        let free = self.entries.iter().position(|entry| entry.refs == 0);
-        let Ok(id) = u32::try_from(free.unwrap_or(self.entries.len())) else {
-            return Watched::Unsupported;
-        };
+    fn add(&mut self, fd: i32, data: u64) -> bool {
         if self.epoll < 0 {
             // SAFETY: plain syscall; the fd it returns is ours.
             self.epoll = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         }
         let mut event = sys::EpollEvent {
             events: sys::EPOLLIN,
-            data: u64::from(id),
+            data,
         };
         // SAFETY: both fds are ours and open (a failed `epoll_create1`
         // fails this call with `EBADF`); `event` outlives the call.
-        if unsafe { sys::epoll_ctl(self.epoll, sys::EPOLL_CTL_ADD, fd, &mut event) } != 0 {
+        unsafe { sys::epoll_ctl(self.epoll, sys::EPOLL_CTL_ADD, fd, &mut event) == 0 }
+    }
+
+    /// Takes an open pidfd into the epoll set and the entry table, in a
+    /// free slot if there is one.
+    #[cfg(target_os = "linux")]
+    fn admit(&mut self, pid: u32, nonce: u64, fd: i32) -> Watched {
+        let free = self.entries.iter().position(|entry| entry.refs == 0);
+        let Ok(id) = u32::try_from(free.unwrap_or(self.entries.len())) else {
+            return Watched::Unsupported;
+        };
+        if !self.add(fd, u64::from(id)) {
             return Watched::Unsupported;
         }
         let entry = Entry {
@@ -242,19 +273,20 @@ impl ProcessWatch {
         Watched::Unsupported
     }
 
-    /// Takes `entry`'s pidfd out of the epoll set and closes it. Always
-    /// in that order: a forked child may hold a copy of the fd, and an
-    /// epoll registration outlives a `close` that is not the last one.
+    /// Takes the descriptor in `fd` (a pidfd, or the listener's duplicate)
+    /// out of the epoll set and closes it. Always in that order: a forked
+    /// child may hold a copy of the fd, and an epoll registration outlives
+    /// a `close` that is not the last one.
     #[cfg(target_os = "linux")]
-    fn retire(epoll: i32, entry: &mut Entry) {
-        if entry.fd >= 0 {
+    fn retire(epoll: i32, fd: &mut i32) {
+        if *fd >= 0 {
             // SAFETY: both fds are ours and open; pre-2.6.9 kernels aside,
             // `EPOLL_CTL_DEL` ignores the event argument.
             unsafe {
-                sys::epoll_ctl(epoll, sys::EPOLL_CTL_DEL, entry.fd, std::ptr::null_mut());
-                sys::close(entry.fd);
+                sys::epoll_ctl(epoll, sys::EPOLL_CTL_DEL, *fd, std::ptr::null_mut());
+                sys::close(*fd);
             }
-            entry.fd = -1;
+            *fd = -1;
         }
     }
 
@@ -268,14 +300,62 @@ impl ProcessWatch {
         entry.refs = entry.refs.saturating_sub(1);
         #[cfg(target_os = "linux")]
         if entry.refs == 0 {
-            Self::retire(self.epoll, entry);
+            Self::retire(self.epoll, &mut entry.fd);
         }
+    }
+
+    /// Takes a listening socket into the set, in place of any taken
+    /// earlier: from now on [`ProcessWatch::poll`] also learns whether a
+    /// connection is waiting on it ([`ProcessWatch::listener_pending`]).
+    /// The set keeps a duplicate of the descriptor, so the caller's may be
+    /// closed at any time; readiness is level-triggered, never
+    /// edge-triggered — a connection left in the backlog is reported again
+    /// by the next poll.
+    ///
+    /// False when the set does not hold the listener afterwards — no
+    /// descriptor to be had for the duplicate or the epoll instance,
+    /// `epoll_ctl` refusing, a platform other than Linux — and the caller
+    /// must keep asking `accept` itself, which is also what
+    /// [`ProcessWatch::listener_pending`] then says.
+    ///
+    /// Cold path: one `fcntl`, one `epoll_ctl`, and the set's first
+    /// registration also creates the epoll instance.
+    #[cfg(unix)]
+    pub fn watch_listener(&mut self, listener: std::os::fd::BorrowedFd<'_>) -> bool {
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::{AsRawFd, IntoRawFd};
+            Self::retire(self.epoll, &mut self.listener);
+            if let Ok(duplicate) = listener.try_clone_to_owned() {
+                // A refused duplicate is closed as it goes out of scope.
+                if self.add(duplicate.as_raw_fd(), LISTENER_TAG) {
+                    self.listener = duplicate.into_raw_fd();
+                    // Whoever connected before this call is waiting
+                    // already, and no poll has had the chance to say so.
+                    self.listener_ready = true;
+                }
+            }
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = listener;
+        self.listener >= 0
+    }
+
+    /// Whether the caller should try to `accept`: `false` only when a
+    /// listener is watched and the last [`ProcessWatch::poll`] found
+    /// nothing waiting on it. With no listener in the set (none offered, or
+    /// [`ProcessWatch::watch_listener`] refused) nothing is known, which
+    /// reads `true`.
+    pub fn listener_pending(&self) -> bool {
+        self.listener < 0 || self.listener_ready
     }
 
     /// Collects exits: one `epoll_wait` with a zero timeout (none at all
     /// while nothing has ever been watched), events on the stack. Returns
     /// how many watched processes were found dead by this call; each is
     /// [`ProcessWatch::is_dead`] from now until its watches are released.
+    /// The same call settles [`ProcessWatch::listener_pending`] until the
+    /// next one.
     pub fn poll(&mut self) -> usize {
         let deaths = self.collect();
         self.death_events = self.death_events.saturating_add(deaths as u64);
@@ -285,6 +365,7 @@ impl ProcessWatch {
     #[cfg(target_os = "linux")]
     fn collect(&mut self) -> usize {
         let mut deaths = 0usize;
+        self.listener_ready = false;
         while self.epoll >= 0 {
             let mut events = [sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
             // SAFETY: `events` is writable for `EVENT_BATCH` entries and
@@ -295,6 +376,12 @@ impl ProcessWatch {
             let got = usize::try_from(got).unwrap_or(0).min(EVENT_BATCH);
             for event in &events[..got] {
                 let index = event.data;
+                if index == LISTENER_TAG {
+                    // Level-triggered and left in the set: the backlog
+                    // stays reported until `accept` has emptied it.
+                    self.listener_ready = true;
+                    continue;
+                }
                 let entry = usize::try_from(index)
                     .ok()
                     .and_then(|index| self.entries.get_mut(index));
@@ -302,7 +389,7 @@ impl ProcessWatch {
                     // Readiness is level-triggered and a dead process
                     // stays dead: take the fd out or every later poll
                     // reports it again.
-                    Self::retire(self.epoll, entry);
+                    Self::retire(self.epoll, &mut entry.fd);
                     entry.dead = true;
                     deaths = deaths.saturating_add(1);
                 }
@@ -345,8 +432,9 @@ impl ProcessWatch {
 impl Drop for ProcessWatch {
     fn drop(&mut self) {
         for entry in &mut self.entries {
-            Self::retire(self.epoll, entry);
+            Self::retire(self.epoll, &mut entry.fd);
         }
+        Self::retire(self.epoll, &mut self.listener);
         if self.epoll >= 0 {
             // SAFETY: the epoll fd is ours and open.
             unsafe { sys::close(self.epoll) };
@@ -466,6 +554,118 @@ mod tests {
         let pid = child.pid();
         child.wait().unwrap();
         assert_eq!(watch.watch(pid, nonce), Watched::Dead);
+    }
+
+    /// A non-blocking Unix listener on a path of its own, and the path.
+    fn listener(name: &str) -> (std::os::unix::net::UnixListener, std::path::PathBuf) {
+        let path =
+            std::env::temp_dir().join(format!("pd-watch-{}-{name}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        (listener, path)
+    }
+
+    #[test]
+    fn a_watched_listener_is_pending_exactly_while_its_backlog_is_not_empty() {
+        use std::os::fd::AsFd;
+        use std::os::unix::net::UnixStream;
+
+        let mut watch = ProcessWatch::new();
+        assert!(watch.listener_pending(), "no listener: nothing is known");
+        assert_eq!(watch.poll(), 0);
+        assert!(
+            watch.listener_pending(),
+            "a poll without a listener settles nothing"
+        );
+
+        let (listener, path) = listener("backlog");
+        assert!(watch.watch_listener(listener.as_fd()));
+        assert!(watch.listener_pending(), "unknown until the first poll");
+        assert_eq!(watch.poll(), 0);
+        assert!(!watch.listener_pending());
+        assert_eq!(watch.watched_processes(), 0, "a listener is not a process");
+
+        let _first = UnixStream::connect(&path).unwrap();
+        let _second = UnixStream::connect(&path).unwrap();
+        for _ in 0..3 {
+            assert_eq!(watch.poll(), 0);
+            assert!(
+                watch.listener_pending(),
+                "level-triggered: reported until accepted"
+            );
+        }
+        listener.accept().unwrap();
+        watch.poll();
+        assert!(
+            watch.listener_pending(),
+            "the second connection is still queued"
+        );
+        listener.accept().unwrap();
+        watch.poll();
+        assert!(!watch.listener_pending());
+        assert_eq!(watch.death_events(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_poll_reports_a_death_and_a_connection() {
+        use std::os::fd::AsFd;
+
+        let mut watch = ProcessWatch::new();
+        let (listener, path) = listener("both");
+        assert!(watch.watch_listener(listener.as_fd()));
+        let child = fork_child(|| loop {
+            std::hint::spin_loop();
+        })
+        .unwrap();
+        let id = watching(watch.watch(child.pid(), 0));
+        assert_eq!(watch.watched_processes(), 1);
+        watch.poll();
+        assert!(!watch.listener_pending());
+
+        let _client = std::os::unix::net::UnixStream::connect(&path).unwrap();
+        child.kill().unwrap();
+        await_death(&mut watch, id);
+        assert!(
+            watch.listener_pending(),
+            "the poll that saw the exit saw the client"
+        );
+        // The exit was taken out of the set; the connection was not.
+        assert_eq!(watch.poll(), 0);
+        assert!(watch.listener_pending());
+        watch.release(id);
+        child.wait().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_set_keeps_its_own_descriptor_and_takes_one_listener_at_a_time() {
+        use std::os::fd::AsFd;
+        use std::os::unix::net::UnixStream;
+
+        let mut watch = ProcessWatch::new();
+        let (first, first_path) = listener("first");
+        assert!(watch.watch_listener(first.as_fd()));
+        let _queued = UnixStream::connect(&first_path).unwrap();
+        // The caller's descriptor goes away; the registration is the
+        // set's own duplicate and keeps reporting the same socket.
+        drop(first);
+        watch.poll();
+        assert!(watch.listener_pending());
+
+        let (second, second_path) = listener("second");
+        assert!(watch.watch_listener(second.as_fd()));
+        watch.poll();
+        assert!(
+            !watch.listener_pending(),
+            "the first listener's backlog is no longer this set's business"
+        );
+        let _client = UnixStream::connect(&second_path).unwrap();
+        watch.poll();
+        assert!(watch.listener_pending());
+        let _ = std::fs::remove_file(&first_path);
+        let _ = std::fs::remove_file(&second_path);
     }
 
     #[test]
