@@ -37,6 +37,13 @@
 //! are stepped individually, and each maximal run of interior beats is
 //! folded in one pass — [`PowerDialRuntime::advance_in_quantum`] skips the
 //! schedule walk, `SlidingWindow::push_slice` folds the span's latencies.
+//! Both ends of that are kept as cheap as what the loop reads allows: the
+//! window maintains one ring and one integer sum (a fold is a store, a
+//! subtract and an add per beat; Σx², min and max are computed only if
+//! somebody asks for `statistics()`), and a boundary beat's per-beat
+//! schedule is looked up by the plan's split — how many of the quantum's
+//! beats its first setting got — instead of being re-derived, the
+//! largest-deficit loop running once per split per app.
 //! The result is **bit-identical** to the per-beat walk (which
 //! [`DaemonShard::run_quantum_with`] and [`naive::SerialMutexDaemon`]
 //! preserve); the `daemon_batch_equivalence` suite pins the relationship

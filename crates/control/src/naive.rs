@@ -162,6 +162,20 @@ impl NaivePowerDialRuntime {
         &self.per_beat_points
     }
 
+    /// Restores the integrator and abandons the quantum in progress, as
+    /// [`crate::PowerDialRuntime::warm_start`] does — so a test can put
+    /// both runtimes at a chosen requested speedup.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ControlError::InvalidSpeedupRange`] when `speedup` is not
+    /// finite.
+    pub fn warm_start(&mut self, speedup: f64) -> Result<(), ControlError> {
+        self.controller.restore_speedup(speedup)?;
+        self.beat_in_quantum = 0;
+        Ok(())
+    }
+
     /// One heartbeat step, exactly as the pre-optimization runtime did it.
     pub fn on_heartbeat(&mut self, observed_rate: Option<f64>) -> RuntimeDecision {
         if self.beat_in_quantum == 0 {

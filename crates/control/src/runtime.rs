@@ -14,6 +14,9 @@ use crate::error::ControlError;
 /// heuristic).
 pub const DEFAULT_QUANTUM_HEARTBEATS: u32 = 20;
 
+/// The longest quantum whose interleave fits one mask word.
+const MASK_BEATS: usize = u64::BITS as usize;
+
 /// Configuration of the [`PowerDialRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
@@ -157,6 +160,14 @@ pub struct PowerDialRuntime {
     per_beat_idx: Vec<PointIdx>,
     current_schedule: Option<CompactSchedule>,
     quanta_planned: u64,
+    /// Every interleave the deficit loop has produced for this runtime's
+    /// quantum so far: `interleaves[first]` is the pattern of a quantum
+    /// whose first segment got `first` beats, bit `b` set when beat `b`
+    /// runs the *second* segment. Zero means "not derived yet" — a pattern
+    /// in which both segments run has a set bit. `quantum + 1` words,
+    /// allocated at construction and filled as splits are first planned;
+    /// empty when the quantum is longer than [`MASK_BEATS`].
+    interleaves: Box<[u64]>,
 }
 
 impl PowerDialRuntime {
@@ -170,15 +181,21 @@ impl PowerDialRuntime {
         if config.quantum_heartbeats == 0 {
             return Err(ControlError::ZeroQuantum);
         }
+        let quantum = config.quantum_heartbeats as usize;
         Ok(PowerDialRuntime {
             controller: HeartRateController::new(config.controller),
             actuator: Actuator::new(config.policy),
             table,
             quantum: config.quantum_heartbeats,
             beat_in_quantum: 0,
-            per_beat_idx: Vec::with_capacity(config.quantum_heartbeats as usize),
+            per_beat_idx: Vec::with_capacity(quantum),
             current_schedule: None,
             quanta_planned: 0,
+            interleaves: if quantum <= MASK_BEATS {
+                vec![0; quantum + 1].into_boxed_slice()
+            } else {
+                Box::default()
+            },
         })
     }
 
@@ -240,6 +257,7 @@ impl PowerDialRuntime {
     /// form. O(1) per beat (amortized over the quantum) and performs **no
     /// heap allocation** after the first quantum: planning refills the
     /// runtime's preallocated per-beat buffer in place.
+    #[deny(clippy::arithmetic_side_effects)]
     pub fn on_heartbeat_idx(&mut self, observed_rate: Option<f64>) -> IndexedDecision {
         if self.beat_in_quantum == 0 {
             self.plan_quantum(observed_rate);
@@ -251,7 +269,8 @@ impl PowerDialRuntime {
             .copied()
             .unwrap_or_else(|| self.table.baseline_idx());
 
-        self.beat_in_quantum += 1;
+        // `beat_in_quantum < quantum <= u32::MAX`: the increment is exact.
+        self.beat_in_quantum = self.beat_in_quantum.wrapping_add(1);
         if self.beat_in_quantum >= self.quantum {
             self.beat_in_quantum = 0;
         }
@@ -289,6 +308,7 @@ impl PowerDialRuntime {
     /// go through `on_heartbeat_idx`), or if the span would cross the next
     /// quantum boundary (`beat_in_quantum() + span > quantum`): boundary
     /// beats consume an observation and must be stepped individually.
+    #[deny(clippy::arithmetic_side_effects)]
     pub fn advance_in_quantum(&mut self, span: u32) -> IndexedDecision {
         assert!(span > 0, "span must be at least one beat");
         assert!(
@@ -296,23 +316,25 @@ impl PowerDialRuntime {
             "advance_in_quantum requires a quantum in progress; \
              step the boundary beat through on_heartbeat_idx first"
         );
-        assert!(
-            self.beat_in_quantum + span <= self.quantum,
-            "span of {span} from beat {} would cross the {}-beat quantum boundary",
-            self.beat_in_quantum,
-            self.quantum
-        );
-        let last = (self.beat_in_quantum + span - 1) as usize;
+        // A span so long that the sum leaves `u32` crosses the boundary
+        // like any other too-long span; it must not wrap its way past the
+        // check.
+        let end = match self.beat_in_quantum.checked_add(span) {
+            Some(end) if end <= self.quantum => end,
+            _ => panic!(
+                "span of {span} from beat {} would cross the {}-beat quantum boundary",
+                self.beat_in_quantum, self.quantum
+            ),
+        };
+        // `end >= span >= 1`.
+        let last = end.wrapping_sub(1) as usize;
         let point_idx = self
             .per_beat_idx
             .get(last)
             .copied()
             .unwrap_or_else(|| self.table.baseline_idx());
 
-        self.beat_in_quantum += span;
-        if self.beat_in_quantum >= self.quantum {
-            self.beat_in_quantum = 0;
-        }
+        self.beat_in_quantum = if end == self.quantum { 0 } else { end };
 
         let schedule = self
             .current_schedule
@@ -326,41 +348,99 @@ impl PowerDialRuntime {
         }
     }
 
+    /// Plans the next quantum: one controller update, one actuator plan,
+    /// and the plan expanded into one knob setting per heartbeat.
+    ///
+    /// Segments are interleaved (largest-deficit first) rather than run
+    /// back to back so the windowed heart rate observed anywhere in the
+    /// quantum reflects the quantum's average speedup. A plan has at most
+    /// [`MAX_PLAN_SEGMENTS`] = 2 segments and
+    /// [`CompactSchedule::beats_per_segment_into`] hands out exactly
+    /// `quantum` beats between them, so the interleave is a pure function
+    /// of the *split* — `(quantum, beats of the first segment)` — and not
+    /// of the settings, the table or the requested speedup. A quantum all
+    /// of whose beats went to one segment has nothing to interleave.
+    /// Otherwise [`interleave_by_deficit`](Self::interleave_by_deficit) is
+    /// the one generator of a pattern; what it produced for a split is
+    /// remembered in `interleaves` as a bit per beat and expanded from
+    /// there the next time this runtime plans that split — identical by
+    /// construction, the loop's `f64` tie-breaks included. A mask is one
+    /// `u64`, so a quantum longer than 64 beats (or a plan that does not
+    /// cover exactly `quantum` beats) runs the loop every time.
+    ///
+    /// Stack arrays plus the `per_beat_idx` and `interleaves` buffers
+    /// sized at construction: zero heap allocation per quantum, first
+    /// sighting of a split included.
+    #[deny(clippy::arithmetic_side_effects)]
     fn plan_quantum(&mut self, observed_rate: Option<f64>) {
         let observed = observed_rate.unwrap_or_else(|| self.controller.config().target_rate());
         let requested = self.controller.update(observed);
         let schedule = self.actuator.plan_compact(&self.table, requested);
 
-        // Expand the schedule into one knob setting per heartbeat of the
-        // quantum. Segments are interleaved (largest-deficit first) rather
-        // than run back to back so the windowed heart rate observed anywhere
-        // in the quantum reflects the quantum's average speedup. Idle time
-        // (race-to-idle) does not change the setting; the application simply
-        // finishes its work early, so the remaining beats reuse the first
-        // (fastest) segment's setting.
-        //
-        // Everything below runs in fixed-size stack arrays (a schedule has
-        // at most MAX_PLAN_SEGMENTS segments) plus the preallocated
-        // `per_beat_idx` buffer: zero heap allocation per quantum. The
-        // deficit interleaving is beat-for-beat identical to the original
-        // clone-based expansion, which `crate::naive` preserves and the
-        // equivalence tests replay.
         let mut seg_beats = [(PointIdx::new(0), 0u32); MAX_PLAN_SEGMENTS];
         let segment_count =
             schedule.beats_per_segment_into(self.quantum, &self.table, &mut seg_beats);
-        let remaining = &mut seg_beats[..segment_count];
+
+        self.per_beat_idx.clear();
+        let [(first_idx, first), (second_idx, second)] = seg_beats;
+        let beats = self.quantum as usize;
+        if first.checked_add(second) != Some(self.quantum) {
+            self.interleave_by_deficit(&mut seg_beats[..segment_count]);
+        } else if second == 0 {
+            self.per_beat_idx.resize(beats, first_idx);
+        } else if first == 0 {
+            self.per_beat_idx.resize(beats, second_idx);
+        } else {
+            match self.interleaves.get(first as usize) {
+                Some(&mask) if mask != 0 => {
+                    let settings = [first_idx, second_idx];
+                    self.per_beat_idx.extend(
+                        (0..self.quantum)
+                            .map(|beat| settings[(mask.wrapping_shr(beat) & 1) as usize]),
+                    );
+                }
+                _ => {
+                    let mask = self.interleave_by_deficit(&mut seg_beats[..segment_count]);
+                    if let Some(slot) = self.interleaves.get_mut(first as usize) {
+                        *slot = mask;
+                    }
+                }
+            }
+        }
+
+        self.current_schedule = Some(schedule);
+        // Wraps after 2⁶⁴ quanta; a count for reports, nothing indexes by it.
+        self.quanta_planned = self.quanta_planned.wrapping_add(1);
+    }
+
+    /// The largest-deficit interleave: appends one setting per heartbeat of
+    /// the quantum to `per_beat_idx`, at every beat picking the segment
+    /// whose assignment lags its target share most. Returns the pattern of
+    /// the first 64 beats as a mask (bit `b` = beat `b` went to
+    /// `remaining[1]`).
+    ///
+    /// Idle time (race-to-idle) does not change the setting; the
+    /// application simply finishes its work early, so beats the segments
+    /// do not cover reuse the first (fastest) segment's setting. The
+    /// interleaving is beat-for-beat identical to the original clone-based
+    /// expansion, which `crate::naive` preserves and the equivalence tests
+    /// replay.
+    #[deny(clippy::arithmetic_side_effects)]
+    fn interleave_by_deficit(&mut self, remaining: &mut [(PointIdx, u32)]) -> u64 {
         let mut totals = [0.0f64; MAX_PLAN_SEGMENTS];
         let mut busy_beats = 0u32;
         for (i, (_, beats)) in remaining.iter().enumerate() {
             totals[i] = f64::from(*beats);
-            busy_beats += *beats;
+            // The split never hands out more than `quantum` beats in all.
+            busy_beats = busy_beats.saturating_add(*beats);
         }
 
-        self.per_beat_idx.clear();
+        let mut mask = 0u64;
         let mut assigned = [0.0f64; MAX_PLAN_SEGMENTS];
         for beat in 0..busy_beats {
             // Pick the segment whose assignment lags its target share most.
-            let progress = f64::from(beat + 1) / f64::from(busy_beats.max(1));
+            // (`beat < busy_beats <= u32::MAX`: the increment is exact.)
+            let progress = f64::from(beat.wrapping_add(1)) / f64::from(busy_beats.max(1));
             let mut best = None;
             let mut best_deficit = f64::NEG_INFINITY;
             for (index, (_, left)) in remaining.iter().enumerate() {
@@ -375,24 +455,24 @@ impl PowerDialRuntime {
             }
             let index = best.expect("at least one segment has beats left");
             self.per_beat_idx.push(remaining[index].0);
+            // Beats past the 64th fall off the mask; nobody stores it then.
+            mask |= (index as u64).checked_shl(beat).unwrap_or(0);
             assigned[index] += 1.0;
-            remaining[index].1 -= 1;
+            // `left != 0` for the segment picked.
+            remaining[index].1 = remaining[index].1.wrapping_sub(1);
         }
         let filler = self
             .per_beat_idx
             .first()
             .copied()
             .unwrap_or_else(|| self.table.fastest_idx());
-        while self.per_beat_idx.len() < self.quantum as usize {
-            self.per_beat_idx.push(filler);
-        }
-
-        self.current_schedule = Some(schedule);
-        self.quanta_planned += 1;
+        self.per_beat_idx.resize(self.quantum as usize, filler);
+        mask
     }
 
     /// Resets the controller and discards the current schedule, keeping the
-    /// knob table (and the preallocated planning buffer).
+    /// knob table (and the preallocated planning buffer; the remembered
+    /// interleaves are a function of the quantum length alone and stay).
     pub fn reset(&mut self) {
         self.controller.reset();
         self.beat_in_quantum = 0;
@@ -660,6 +740,110 @@ mod tests {
         let mut rt = runtime(4);
         rt.on_heartbeat_idx(Some(30.0));
         rt.advance_in_quantum(4);
+    }
+
+    /// `beat_in_quantum + span` used to be summed in `u32`: in a release
+    /// build `1 + u32::MAX` wrapped to 0, passed the boundary check, and
+    /// the runtime silently served the baseline point. (A debug build
+    /// trips the overflow check first, with a different message — this is
+    /// a regression test where CI runs it under `--release`.)
+    #[test]
+    #[should_panic(expected = "would cross")]
+    fn advance_by_a_span_that_overflows_u32_panics() {
+        let mut rt = runtime(4);
+        rt.on_heartbeat_idx(Some(30.0));
+        assert_eq!(rt.beat_in_quantum(), 1);
+        rt.advance_in_quantum(u32::MAX);
+    }
+
+    fn config_with(policy: ActuationPolicy, quantum: u32) -> RuntimeConfig {
+        RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
+            .with_policy(policy)
+            .with_quantum_heartbeats(quantum)
+            .unwrap()
+    }
+
+    fn runtime_with(policy: ActuationPolicy, quantum: u32) -> PowerDialRuntime {
+        PowerDialRuntime::new(config_with(policy, quantum), test_table()).unwrap()
+    }
+
+    /// Plans one quantum at exactly `requested` (an on-target observation
+    /// leaves the restored integrator where it is) and returns its beats.
+    fn plan_at(rt: &mut PowerDialRuntime, requested: f64) -> Vec<PointIdx> {
+        rt.warm_start(requested).unwrap();
+        let decision = rt.on_heartbeat_idx(Some(30.0));
+        assert_eq!(decision.requested_speedup.to_bits(), requested.to_bits());
+        rt.planned_beat_indices().to_vec()
+    }
+
+    #[test]
+    fn a_looked_up_interleave_is_the_derived_one() {
+        use crate::naive::NaivePowerDialRuntime;
+        use std::collections::BTreeSet;
+
+        for quantum in [1u32, 2, 3, 5, 20, 63, 64, 65, 100] {
+            for policy in [ActuationPolicy::MinimalSpeedup, ActuationPolicy::RaceToIdle] {
+                // `veteran` has planned every split the sweep has reached so
+                // far (and, quanta of 64 beats or fewer, looks one up when it
+                // comes round again); a fresh runtime has to run the deficit
+                // loop; `naive` derives every quantum with the original
+                // clone-based loop and has never heard of a mask.
+                let mut veteran = runtime_with(policy, quantum);
+                let mut naive =
+                    NaivePowerDialRuntime::new(config_with(policy, quantum), test_table()).unwrap();
+                let mut splits = BTreeSet::new();
+                // 1.0 ..= 4.5 in steps of 1/256: through the (1×, 2×) and
+                // (1×, 4×) pairs and past the table's fastest point, finely
+                // enough that no split of a 100-beat quantum is stepped over.
+                for step in 256u32..=1152 {
+                    let requested = f64::from(step) / 256.0;
+                    let looked_up = plan_at(&mut veteran, requested);
+                    assert_eq!(looked_up.len(), quantum as usize);
+
+                    let fresh = plan_at(&mut runtime_with(policy, quantum), requested);
+                    assert_eq!(looked_up, fresh, "quantum {quantum} at {requested}");
+
+                    naive.warm_start(requested).unwrap();
+                    naive.on_heartbeat(Some(30.0));
+                    let looked_up_points: Vec<&CalibrationPoint> = looked_up
+                        .iter()
+                        .map(|&idx| veteran.table().point(idx))
+                        .collect();
+                    let derived: Vec<&CalibrationPoint> =
+                        naive.planned_beat_points().iter().collect();
+                    assert_eq!(
+                        looked_up_points, derived,
+                        "quantum {quantum} at {requested}"
+                    );
+
+                    // Same split again — a lookup now, where a mask fits —
+                    // from a clone, and after the state changes that must
+                    // neither lose nor corrupt what has been remembered
+                    // (`plan_at` warm-starts every time it is called).
+                    let mut cloned = veteran.clone();
+                    assert_eq!(plan_at(&mut cloned, requested), looked_up);
+                    if step % 64 == 0 {
+                        veteran.reset();
+                    }
+                    assert_eq!(plan_at(&mut veteran, requested), looked_up);
+
+                    if requested < 2.0 {
+                        let baseline = veteran.table().baseline_idx();
+                        splits.insert(looked_up.iter().filter(|&&idx| idx != baseline).count());
+                    }
+                }
+                match policy {
+                    // Every split of the (2×, 1×) pair, none stepped over.
+                    ActuationPolicy::MinimalSpeedup => {
+                        assert_eq!(splits, (0..=quantum as usize).collect::<BTreeSet<_>>());
+                    }
+                    // One segment at the fastest point: the only split there is.
+                    ActuationPolicy::RaceToIdle => {
+                        assert_eq!(splits, BTreeSet::from([quantum as usize]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

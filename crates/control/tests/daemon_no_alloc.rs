@@ -193,6 +193,46 @@ fn per_quantum_drain_loop_does_not_allocate() {
     }
 }
 
+/// What one `register` allocates. The rate window used to own three heap
+/// blocks per app (its latencies and two extremum deques); it is one ring
+/// now, two blocks fewer. The runtime gained one — the `quantum + 1`
+/// words it remembers its beat interleaves in, sized at construction so
+/// that planning never allocates — so a registration that made 8
+/// allocations at the parent of that change makes 7 after it.
+#[test]
+fn a_registration_allocates_fewer_blocks_than_with_the_deque_window() {
+    const WITH_THE_DEQUE_WINDOW: u64 = 8;
+
+    let mut daemon = PowerDialDaemon::new(DaemonConfig {
+        workers: 0, // inline: registration runs on this thread
+        channel_capacity: 64,
+        window_size: 20,
+        inline_apps: 0,
+        idle_skip_limit: 0,
+        drain_cap: 0,
+        telemetry: true,
+        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
+        safe_point: 0,
+    })
+    .unwrap();
+    let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
+        .with_quantum_heartbeats(20)
+        .unwrap();
+    // The first registration also grows the shard's per-app vectors from
+    // empty; the second finds room in them.
+    let _first = daemon.register(config, test_table()).unwrap();
+
+    let table = test_table();
+    let before = allocations();
+    let second = daemon.register(config, table);
+    let made = allocations() - before;
+    assert!(second.is_ok());
+    assert!(
+        made <= WITH_THE_DEQUE_WINDOW - 2 + 1,
+        "one register made {made} allocations"
+    );
+}
+
 #[test]
 fn per_quantum_shm_drain_loop_does_not_allocate() {
     // The same contract over the cross-process transport: once the

@@ -80,14 +80,36 @@ fn steady_state_beat_stepping_does_not_allocate() {
             .unwrap();
         let mut runtime = PowerDialRuntime::new(config, test_table()).unwrap();
 
+        // Which interleaves have been planned so far, as one bit per beat
+        // (set where the beat's setting differs from the first beat's), in
+        // a stack array so that keeping the list allocates nothing.
+        let mut patterns = [0u64; 64];
+        let mut known = 0usize;
+        let mut note_pattern = |runtime: &PowerDialRuntime| {
+            let planned = runtime.planned_beat_indices();
+            let pattern = planned
+                .iter()
+                .enumerate()
+                .filter(|(_, &idx)| idx != planned[0])
+                .fold(0u64, |mask, (beat, _)| mask | 1 << beat);
+            if patterns[..known].contains(&pattern) {
+                return false;
+            }
+            patterns[known] = pattern;
+            known += 1;
+            true
+        };
+
         // Warm: the first plan fills the preallocated per-beat buffer.
         for beat in 0..100u64 {
             let observed = 20.0 + (beat % 17) as f64;
             runtime.on_heartbeat_idx(Some(observed));
+            note_pattern(&runtime);
         }
 
         let before = allocations();
         let mut sink = 0.0;
+        let mut first_sightings = 0u32;
         for beat in 0..10_000u64 {
             // A wandering observed rate forces genuinely different plans
             // (different s_min picks, mixed segments, saturation) across
@@ -95,7 +117,17 @@ fn steady_state_beat_stepping_does_not_allocate() {
             let observed = 12.0 + ((beat * 7) % 50) as f64;
             let decision = runtime.on_heartbeat_idx(Some(observed));
             sink += decision.gain + decision.requested_speedup;
+            first_sightings += u32::from(note_pattern(&runtime));
         }
+        // Splits planned for the first time are inside the counted window:
+        // recording an interleave for later lookup must not allocate
+        // either. (Race-to-idle runs one setting per quantum — there is
+        // only the one pattern to see.)
+        assert_eq!(
+            first_sightings > 0,
+            policy == ActuationPolicy::MinimalSpeedup,
+            "{first_sightings} new interleaves in the window (policy {policy})"
+        );
         std::hint::black_box(sink);
         assert_eq!(
             allocations() - before,

@@ -3,13 +3,18 @@
 //! * [`MutexChannel`] — the mutex-guarded channel the serial mutex daemon
 //!   (`powerdial_control::daemon::naive`) is built on: the oracle of the
 //!   daemon equivalence suites and of `benchmark/`'s output checks.
-//! * `NaiveSlidingWindow` (compiled for this crate's tests only) — the
-//!   recompute-on-read implementation the O(1) [`crate::SlidingWindow`]
-//!   replaced: `total()` folds the whole window, `statistics()` collects
-//!   the latencies into a scratch `Vec` and scans it four times. The
-//!   equivalence property tests in `stats.rs` assert the incremental
-//!   implementation matches it (rate/total bit-identical, mean and
-//!   variance to within 1e-9). What the incremental window costs is
+//! * `NaiveSlidingWindow` (compiled for this crate's tests only) — a
+//!   plain deque of latencies that keeps no aggregate at all: `total()`
+//!   folds the whole window, `statistics()` collects the latencies into a
+//!   scratch `Vec` of `f64` seconds and scans it four times. It is the
+//!   oracle for what [`crate::SlidingWindow`] *maintains* — the ring's
+//!   stored sequence (`iter()` order across wraps, full replacements and
+//!   `clear`), the running integer sum behind `rate()`/`try_total()`
+//!   (bit-identical, typed overflow appearing and healing at the same
+//!   push) — and an independent floating-point check (to within 1e-9) of
+//!   the mean and variance `statistics()` computes on read. The property
+//!   tests in `stats.rs` drive both through arbitrary operation
+//!   sequences. What the window costs is
 //!   `heartbeats.stats.fold_ns_per_beat`, `heartbeats.stats.push_ns` and
 //!   `heartbeats.stats.rate_ns` in `BENCHMARK.json`.
 //!
@@ -24,7 +29,7 @@ use crate::stats::{RateStatistics, WindowOverflow};
 #[cfg(test)]
 use crate::time::TimestampDelta;
 
-/// The O(n)-per-query sliding window (pre-optimization reference).
+/// The keep-nothing, recompute-on-every-read sliding window (test oracle).
 #[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveSlidingWindow {
@@ -63,6 +68,16 @@ impl NaiveSlidingWindow {
             self.latencies.pop_front();
         }
         self.latencies.push_back(latency);
+    }
+
+    /// Removes all stored latencies.
+    pub fn clear(&mut self) {
+        self.latencies.clear();
+    }
+
+    /// Iterates over the stored latencies from oldest to newest.
+    pub fn iter(&self) -> impl Iterator<Item = TimestampDelta> + '_ {
+        self.latencies.iter().copied()
     }
 
     /// Returns the total time spanned by the stored latencies (O(n) fold).

@@ -1,23 +1,27 @@
 //! Sliding-window statistics over heartbeat latencies.
 //!
-//! The window is the heart of PowerDial's feedback path: the controller
-//! reads the windowed rate once per heartbeat, so [`SlidingWindow::push`],
-//! [`SlidingWindow::rate`], and [`SlidingWindow::statistics`] must all be
-//! O(1) and allocation-free in steady state. The implementation keeps
-//! incrementally maintained aggregates instead of recomputing over the
-//! stored latencies:
+//! The window is the heart of PowerDial's feedback path. What the control
+//! loop does with it is lopsided: every heartbeat is pushed
+//! ([`SlidingWindow::push`], [`SlidingWindow::push_slice`]) and the
+//! windowed rate is read once per quantum ([`SlidingWindow::rate`]), while
+//! [`SlidingWindow::statistics`] is a diagnostic nothing on the decision
+//! path calls. The window therefore keeps only what the loop reads:
 //!
-//! * running sum and sum-of-squares of the latencies in **integer
-//!   nanoseconds** (`u128`), so eviction subtracts exactly what insertion
-//!   added — no floating-point drift, ever;
-//! * two monotonic deques holding the suffix minima / maxima of the window,
-//!   giving O(1)-amortized min/max under FIFO eviction.
+//! * **maintained on every push** — the stored latencies themselves (one
+//!   ring, allocated at construction) and their running sum in **integer
+//!   nanoseconds** (`u128`): eviction subtracts exactly what insertion
+//!   added, so `rate()`/`try_total()` are O(1) and there is no
+//!   floating-point drift, ever;
+//! * **computed on read** — `statistics()` scans the at most `capacity`
+//!   stored latencies for Σx², min and max. That is O(capacity) on a cold
+//!   path; maintaining them incrementally cost every push a 64×64→128
+//!   multiply on insert *and* evict plus two monotonic deques, for a
+//!   query the controller never makes.
 //!
-//! The pre-optimization recompute-on-read implementation is preserved as
+//! A recompute-everything-on-read implementation is kept as
 //! `crate::naive::NaiveSlidingWindow` (compiled for this crate's tests
 //! only) and is property-tested against this one.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -52,8 +56,9 @@ impl std::error::Error for WindowOverflow {}
 /// The window keeps the most recent `capacity` latencies and exposes the
 /// aggregate statistics PowerDial's controller consumes: the windowed heart
 /// rate (beats divided by the summed latency), the mean latency, the latency
-/// variance, and the min/max latency. All queries are O(1); `push` is
-/// amortized O(1) and performs no heap allocation after construction.
+/// variance, and the min/max latency. `push` and the rate/total reads are
+/// O(1) — one ring slot and one running sum; [`statistics`](Self::statistics)
+/// is O(capacity). Nothing allocates after construction.
 ///
 /// # Example
 ///
@@ -70,20 +75,18 @@ impl std::error::Error for WindowOverflow {}
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlidingWindow {
-    capacity: usize,
-    latencies: VecDeque<TimestampDelta>,
-    /// Total pushes ever performed: the index the next push will receive.
-    push_count: u64,
+    /// The ring: `capacity` slots, of which `len` hold a latency and the
+    /// rest hold zero (so evicting from a slot never filled subtracts
+    /// nothing). Until the ring first fills, the stored latencies are
+    /// `slots[..len]` and `cursor == len`; from then on every slot is
+    /// stored and `slots[cursor]` is the oldest.
+    slots: Box<[TimestampDelta]>,
+    /// The slot the next push writes. Always `< capacity`.
+    cursor: usize,
+    /// Number of latencies stored. Always `<= capacity`.
+    len: usize,
     /// Sum of the stored latencies, in nanoseconds (exact).
     sum_nanos: u128,
-    /// Sum of the squared stored latencies, in nanoseconds² (exact).
-    sum_sq_nanos: u128,
-    /// `(push index, nanos)` suffix minima: values strictly increase from
-    /// front to back, so the front is the window minimum.
-    min_deque: VecDeque<(u64, u64)>,
-    /// `(push index, nanos)` suffix maxima: values strictly decrease from
-    /// front to back, so the front is the window maximum.
-    max_deque: VecDeque<(u64, u64)>,
 }
 
 /// Every arithmetic op in this impl is on the controller's per-beat hot
@@ -95,8 +98,7 @@ pub struct SlidingWindow {
 impl SlidingWindow {
     /// Creates a window holding at most `capacity` latencies.
     ///
-    /// All storage (the latency deque and both extremum deques) is allocated
-    /// here; no later operation allocates.
+    /// The ring is allocated here; no later operation allocates.
     ///
     /// # Panics
     ///
@@ -104,98 +106,58 @@ impl SlidingWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sliding window capacity must be at least 1");
         SlidingWindow {
-            capacity,
-            latencies: VecDeque::with_capacity(capacity),
-            push_count: 0,
+            slots: vec![TimestampDelta::ZERO; capacity].into_boxed_slice(),
+            cursor: 0,
+            len: 0,
             sum_nanos: 0,
-            sum_sq_nanos: 0,
-            min_deque: VecDeque::with_capacity(capacity),
-            max_deque: VecDeque::with_capacity(capacity),
         }
     }
 
     /// Returns the maximum number of latencies retained.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Returns the number of latencies currently stored.
     pub fn len(&self) -> usize {
-        self.latencies.len()
+        self.len
     }
 
     /// Returns true when the window holds no latencies.
     pub fn is_empty(&self) -> bool {
-        self.latencies.is_empty()
+        self.len == 0
     }
 
     /// Returns true when the window holds `capacity` latencies.
     pub fn is_full(&self) -> bool {
-        self.latencies.len() == self.capacity
+        self.len == self.slots.len()
     }
 
     /// Pushes a new latency, evicting the oldest if the window is full.
     ///
-    /// Amortized O(1), allocation-free: the aggregates are updated
-    /// incrementally and each element enters and leaves the extremum deques
-    /// at most once.
+    /// O(1), allocation-free: one slot is overwritten and the running sum
+    /// trades the evicted latency for the new one.
+    #[inline]
     pub fn push(&mut self, latency: TimestampDelta) {
-        if self.latencies.len() == self.capacity {
-            let evicted = self
-                .latencies
-                .pop_front()
-                .expect("full window has a front element");
-            let nanos = u128::from(evicted.as_nanos());
-            // Eviction subtracts exactly what insertion added (same wrapping
-            // group), so the running sums are exact whenever insertion never
-            // wrapped — see the insertion-side bounds below.
-            self.sum_nanos = self.sum_nanos.wrapping_sub(nanos);
-            self.sum_sq_nanos = self.sum_sq_nanos.wrapping_sub(nanos.wrapping_mul(nanos));
-            // The evicted element can only sit at the front of a deque: the
-            // deques hold indices in increasing order. `push_count` counts at
-            // least `capacity` pushes here (the window is full), in the same
-            // wrapping index space the deques store.
-            let evicted_index = self.push_count.wrapping_sub(self.capacity as u64);
-            if self
-                .min_deque
-                .front()
-                .is_some_and(|&(i, _)| i == evicted_index)
-            {
-                self.min_deque.pop_front();
-            }
-            if self
-                .max_deque
-                .front()
-                .is_some_and(|&(i, _)| i == evicted_index)
-            {
-                self.max_deque.pop_front();
-            }
+        let evicted = std::mem::replace(&mut self.slots[self.cursor], latency);
+        // Eviction subtracts exactly what insertion added (zero for a slot
+        // never filled), and the sum holds at most `capacity` u64 values,
+        // which fit u128 for any allocatable capacity: both ops are exact.
+        // The overflow that matters (`sum_nanos > u64::MAX`) is caught as a
+        // typed [`WindowOverflow`] at the rate read.
+        self.sum_nanos = self
+            .sum_nanos
+            .wrapping_sub(u128::from(evicted.as_nanos()))
+            .wrapping_add(u128::from(latency.as_nanos()));
+        // `cursor < capacity` and `len < capacity` where incremented, so
+        // neither add can overflow.
+        self.cursor = self.cursor.wrapping_add(1);
+        if self.cursor == self.slots.len() {
+            self.cursor = 0;
         }
-
-        let nanos = latency.as_nanos();
-        self.latencies.push_back(latency);
-        // `sum_nanos` holds at most `capacity` u64 values, so it fits u128
-        // for any allocatable capacity and the add is exact. `sum_sq_nanos`
-        // can genuinely wrap under adversarial near-`u64::MAX` latencies
-        // (each square is up to ~2¹²⁸); that only garbles the variance —
-        // rate/total/min/max/mean never read it, and the overflow that
-        // matters (`sum_nanos > u64::MAX`) is caught as a typed
-        // [`WindowOverflow`] at the rate read.
-        self.sum_nanos = self.sum_nanos.wrapping_add(u128::from(nanos));
-        self.sum_sq_nanos = self
-            .sum_sq_nanos
-            .wrapping_add(u128::from(nanos).wrapping_mul(u128::from(nanos)));
-        while self.min_deque.back().is_some_and(|&(_, v)| v >= nanos) {
-            self.min_deque.pop_back();
+        if self.len < self.slots.len() {
+            self.len = self.len.wrapping_add(1);
         }
-        self.min_deque.push_back((self.push_count, nanos));
-        while self.max_deque.back().is_some_and(|&(_, v)| v <= nanos) {
-            self.max_deque.pop_back();
-        }
-        self.max_deque.push_back((self.push_count, nanos));
-        // Wrapping: the index space the extremum deques key on is compared
-        // by equality only, which stays consistent across a wrap.
-        self.push_count = self.push_count.wrapping_add(1);
     }
 
     /// Pushes every latency in `latencies`, oldest first — exactly
@@ -203,48 +165,27 @@ impl SlidingWindow {
     /// written for the batched decision kernel's hot path.
     ///
     /// When the slice is at least as long as the window's capacity, none
-    /// of the pre-existing contents survive, so the window is rebuilt
-    /// from the slice's tail in one pass instead of churning through
-    /// `len` evictions. The rebuild is **bit-identical** to the
-    /// sequential pushes: the integer nanosecond sums are exact under
-    /// both orders, and the monotonic deques end up holding the same
-    /// `(index, value)` suffix extrema either way (sequential eviction
-    /// would have popped every entry that predates the surviving
-    /// window). The property test `push_slice_matches_sequential_push`
-    /// pins this, including queries after further singleton pushes.
+    /// of the pre-existing contents survive, so the ring is overwritten
+    /// with the slice's tail and summed in one pass instead of churning
+    /// through `len` evictions. The stored sequence and the integer sum —
+    /// all the state there is — come out the same under both orders; the
+    /// property test `push_slice_matches_sequential_push` pins it,
+    /// including queries after further singleton pushes.
     ///
-    /// Allocation-free: both paths reuse the storage sized at
-    /// construction.
+    /// Allocation-free: both paths reuse the ring sized at construction.
     pub fn push_slice(&mut self, latencies: &[TimestampDelta]) {
-        if latencies.len() >= self.capacity {
+        if latencies.len() >= self.slots.len() {
             // Full replacement: only the slice's last `capacity` entries
-            // can survive, so skip straight to them. (`len >= capacity`
-            // here, so the subtraction cannot underflow.)
-            let skipped = latencies.len().wrapping_sub(self.capacity);
-            self.latencies.clear();
-            self.min_deque.clear();
-            self.max_deque.clear();
-            self.sum_nanos = 0;
-            self.sum_sq_nanos = 0;
-            self.push_count = self.push_count.wrapping_add(skipped as u64);
-            for &latency in &latencies[skipped..] {
-                let nanos = latency.as_nanos();
-                self.latencies.push_back(latency);
-                // Same exactness argument as in `push`.
-                self.sum_nanos = self.sum_nanos.wrapping_add(u128::from(nanos));
-                self.sum_sq_nanos = self
-                    .sum_sq_nanos
-                    .wrapping_add(u128::from(nanos).wrapping_mul(u128::from(nanos)));
-                while self.min_deque.back().is_some_and(|&(_, v)| v >= nanos) {
-                    self.min_deque.pop_back();
-                }
-                self.min_deque.push_back((self.push_count, nanos));
-                while self.max_deque.back().is_some_and(|&(_, v)| v <= nanos) {
-                    self.max_deque.pop_back();
-                }
-                self.max_deque.push_back((self.push_count, nanos));
-                self.push_count = self.push_count.wrapping_add(1);
-            }
+            // can survive. (`len >= capacity` here, so the subtraction
+            // cannot underflow.)
+            let skipped = latencies.len().wrapping_sub(self.slots.len());
+            self.slots.copy_from_slice(&latencies[skipped..]);
+            self.cursor = 0;
+            self.len = self.slots.len();
+            // Same exactness argument as in `push`.
+            self.sum_nanos = self.slots.iter().fold(0u128, |sum, latency| {
+                sum.wrapping_add(u128::from(latency.as_nanos()))
+            });
         } else {
             for &latency in latencies {
                 self.push(latency);
@@ -254,17 +195,18 @@ impl SlidingWindow {
 
     /// Removes all stored latencies, keeping the allocated capacity.
     pub fn clear(&mut self) {
-        self.latencies.clear();
-        self.min_deque.clear();
-        self.max_deque.clear();
-        self.push_count = 0;
+        self.slots.fill(TimestampDelta::ZERO);
+        self.cursor = 0;
+        self.len = 0;
         self.sum_nanos = 0;
-        self.sum_sq_nanos = 0;
     }
 
     /// Iterates over the stored latencies from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = TimestampDelta> + '_ {
-        self.latencies.iter().copied()
+        // Not yet full: `cursor == len`, so `older` is empty and `newer`
+        // is the whole stored prefix. Full: the oldest sits at `cursor`.
+        let (newer, older) = self.slots[..self.len].split_at(self.cursor);
+        older.iter().chain(newer).copied()
     }
 
     /// Returns the total time spanned by the stored latencies, or a typed
@@ -295,44 +237,49 @@ impl SlidingWindow {
     /// latency sum past `u64::MAX` nanoseconds. O(1).
     pub fn rate(&self) -> Result<Option<HeartRate>, WindowOverflow> {
         Ok(HeartRate::from_beats_over(
-            self.latencies.len() as u64,
+            self.len as u64,
             self.try_total()?,
         ))
     }
 
     /// Returns summary statistics for the stored latencies, or `None` when
-    /// the window is empty. O(1): mean and variance come from the running
-    /// sums, min and max from the monotonic deques.
+    /// the window is empty. O(capacity): the mean comes from the running
+    /// sum; Σx², min and max are recomputed over the stored latencies —
+    /// the control loop never asks for them, so no push pays for them.
     ///
     /// The variance is computed as `(n·Σx² − (Σx)²) / n²` over **exact**
     /// integer nanosecond sums, so there is no catastrophic cancellation and
     /// no drift relative to a naive recompute (see the equivalence property
     /// tests against `crate::naive::NaiveSlidingWindow`).
     pub fn statistics(&self) -> Option<RateStatistics> {
-        let n = self.latencies.len();
+        let n = self.len;
         if n == 0 {
             return None;
+        }
+        // Order does not matter to a sum or an extremum, and the stored
+        // latencies are `slots[..len]` whether or not the ring has wrapped.
+        let mut sum_sq_nanos = 0u128;
+        let mut min_nanos = u64::MAX;
+        let mut max_nanos = 0u64;
+        for latency in &self.slots[..n] {
+            let nanos = latency.as_nanos();
+            // Σx² can genuinely wrap under adversarial near-`u64::MAX`
+            // latencies (each square is up to ~2¹²⁸); that only garbles the
+            // variance — rate/total/min/max/mean never read it.
+            sum_sq_nanos =
+                sum_sq_nanos.wrapping_add(u128::from(nanos).wrapping_mul(u128::from(nanos)));
+            min_nanos = min_nanos.min(nanos);
+            max_nanos = max_nanos.max(nanos);
         }
         let n_f64 = n as f64;
         let mean_nanos = self.sum_nanos as f64 / n_f64;
         // Cauchy–Schwarz guarantees n·Σx² ≥ (Σx)², so this cannot underflow
-        // for any stream whose squared sums fit u128; under adversarial
-        // near-`u64::MAX` latencies the wrapped `sum_sq_nanos` only garbles
-        // the variance (documented in `push`), never panics.
+        // for any stream whose squared sums fit u128; a wrapped Σx² only
+        // garbles the variance (see above), never panics.
         let variance_numerator = (n as u128)
-            .wrapping_mul(self.sum_sq_nanos)
+            .wrapping_mul(sum_sq_nanos)
             .wrapping_sub(self.sum_nanos.wrapping_mul(self.sum_nanos));
         let variance_nanos2 = variance_numerator as f64 / (n_f64 * n_f64);
-        let min_nanos = self
-            .min_deque
-            .front()
-            .expect("non-empty window has a minimum")
-            .1;
-        let max_nanos = self
-            .max_deque
-            .front()
-            .expect("non-empty window has a maximum")
-            .1;
         Some(RateStatistics {
             count: n,
             mean_latency_secs: mean_nanos / NANOS_PER_SEC_F64,
@@ -344,10 +291,11 @@ impl SlidingWindow {
 }
 
 /// Two windows are equal when they have the same capacity and the same
-/// stored latencies (the aggregates are a pure function of those).
+/// stored latencies, oldest to newest (where the ring's cursor happens to
+/// stand is history, and the sum is a pure function of the contents).
 impl PartialEq for SlidingWindow {
     fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity && self.latencies == other.latencies
+        self.capacity() == other.capacity() && self.iter().eq(other.iter())
     }
 }
 
@@ -479,6 +427,37 @@ mod tests {
         let stats = w.statistics().unwrap();
         assert!((stats.max_latency_secs - 0.03).abs() < 1e-12);
         assert!((stats.min_latency_secs - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn iteration_is_oldest_first_across_a_wrap_and_a_full_replacement() {
+        let mut w = SlidingWindow::new(4);
+        // Filling: the stored prefix, in push order.
+        w.push_slice(&[ms(1), ms(2), ms(3)]);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [ms(1), ms(2), ms(3)]);
+        // Wrapped: the cursor sits mid-ring, the oldest right behind it.
+        w.push_slice(&[ms(4), ms(5), ms(6)]);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [ms(3), ms(4), ms(5), ms(6)]);
+        assert_eq!(w.total(), ms(18));
+        // Replaced outright by a longer slice: its last `capacity` entries.
+        w.push_slice(&[ms(7), ms(8), ms(9), ms(10), ms(11), ms(12)]);
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            [ms(9), ms(10), ms(11), ms(12)]
+        );
+        assert_eq!(w.total(), ms(42));
+        // ... and a push after the replacement evicts the oldest of those.
+        w.push(ms(13));
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            [ms(10), ms(11), ms(12), ms(13)]
+        );
+        // Cleared mid-ring, the window fills from the start again.
+        w.clear();
+        assert_eq!(w.iter().count(), 0);
+        w.push_slice(&[ms(14), ms(15)]);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [ms(14), ms(15)]);
+        assert_eq!(w.total(), ms(29));
     }
 
     #[test]
@@ -679,6 +658,101 @@ mod proptests {
                 // integer nanosecond values.
                 prop_assert_eq!(fast.min_latency_secs.to_bits(), slow.min_latency_secs.to_bits());
                 prop_assert_eq!(fast.max_latency_secs.to_bits(), slow.max_latency_secs.to_bits());
+            }
+        }
+
+        /// Arbitrary interleavings of `push`, `push_slice` (shorter than,
+        /// equal to and up to three times longer than the window), `clear`
+        /// and near-`u64::MAX` poison leave the ring holding exactly what
+        /// the naive deque holds, with every read bit-equal to a direct
+        /// `u128` recompute over that sequence — a typed overflow appears,
+        /// and heals on eviction, exactly when the naive fold's does.
+        #[test]
+        fn operation_sequences_match_naive_window_and_direct_recompute(
+            capacity in 1usize..24,
+            ops in proptest::collection::vec(
+                (
+                    0u32..10,
+                    0usize..1000,
+                    proptest::collection::vec(1u64..1_000_000_000_000u64, 72..73),
+                ),
+                0..48,
+            ),
+        ) {
+            let mut ring = SlidingWindow::new(capacity);
+            let mut naive = NaiveSlidingWindow::new(capacity);
+            for (op, arg, values) in &ops {
+                let slice_len = arg % (3 * capacity + 1);
+                match op {
+                    0..=3 => {
+                        ring.push(TimestampDelta::from_nanos(values[0]));
+                        naive.push(TimestampDelta::from_nanos(values[0]));
+                    }
+                    4..=6 | 9 => {
+                        // Op 9 poisons about a third of the slice.
+                        let slice: Vec<TimestampDelta> = values[..slice_len]
+                            .iter()
+                            .map(|&v| if *op == 9 && v % 3 == 0 { u64::MAX - v } else { v })
+                            .map(TimestampDelta::from_nanos)
+                            .collect();
+                        ring.push_slice(&slice);
+                        for &latency in &slice {
+                            naive.push(latency);
+                        }
+                    }
+                    7 => {
+                        ring.clear();
+                        naive.clear();
+                    }
+                    _ => {
+                        let poison = TimestampDelta::from_nanos(u64::MAX - *arg as u64);
+                        ring.push(poison);
+                        naive.push(poison);
+                    }
+                }
+
+                let stored: Vec<u64> = naive.iter().map(TimestampDelta::as_nanos).collect();
+                prop_assert_eq!(
+                    ring.iter().map(TimestampDelta::as_nanos).collect::<Vec<_>>(),
+                    stored.clone()
+                );
+                prop_assert_eq!(ring.len(), stored.len());
+                prop_assert_eq!(ring.is_empty(), stored.is_empty());
+                prop_assert_eq!(ring.is_full(), stored.len() == capacity);
+
+                prop_assert_eq!(ring.try_total(), naive.try_total());
+                match (ring.rate(), naive.rate()) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(
+                        a.map(|r| r.beats_per_second().to_bits()),
+                        b.map(|r| r.beats_per_second().to_bits())
+                    ),
+                    (a, b) => prop_assert_eq!(a.is_err(), b.is_err()),
+                }
+
+                let Some(stats) = ring.statistics() else {
+                    prop_assert!(stored.is_empty());
+                    continue;
+                };
+                let n = stored.len();
+                let sum = stored.iter().fold(0u128, |s, &x| s + u128::from(x));
+                let sum_sq = stored.iter().fold(0u128, |s, &x| {
+                    s.wrapping_add(u128::from(x).wrapping_mul(u128::from(x)))
+                });
+                let numerator = (n as u128)
+                    .wrapping_mul(sum_sq)
+                    .wrapping_sub(sum.wrapping_mul(sum));
+                let (min, max) = (stored.iter().min().unwrap(), stored.iter().max().unwrap());
+                prop_assert_eq!(stats.count, n);
+                prop_assert_eq!(
+                    stats.mean_latency_secs.to_bits(),
+                    (sum as f64 / n as f64 / 1e9).to_bits()
+                );
+                prop_assert_eq!(
+                    stats.latency_variance.to_bits(),
+                    (numerator as f64 / (n as f64 * n as f64) / (1e9 * 1e9)).to_bits()
+                );
+                prop_assert_eq!(stats.min_latency_secs.to_bits(), (*min as f64 / 1e9).to_bits());
+                prop_assert_eq!(stats.max_latency_secs.to_bits(), (*max as f64 / 1e9).to_bits());
             }
         }
     }
