@@ -205,14 +205,10 @@ impl Victim {
 fn daemon(config: &AdversarialConfig) -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
         workers: config.workers,
-        channel_capacity: 256,
         window_size: 8,
         inline_apps: 0,
-        idle_skip_limit: 0,
         drain_cap: DRAIN_CAP,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .expect("valid adversarial daemon config")
 }

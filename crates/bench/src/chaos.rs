@@ -169,15 +169,11 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
             daemon: DaemonConfig {
                 workers: 0,
                 channel_capacity: config.capacity as usize,
-                window_size: 20,
                 inline_apps: 0,
-                // Idle-skip stays off under chaos: the recovery-latency
-                // assertions demand every quantum polls every channel.
-                idle_skip_limit: 0,
-                drain_cap: 0,
-                telemetry: true,
-                trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                safe_point: 0,
+                // The defaults keep idle-skip off, as chaos needs: the
+                // recovery-latency assertions demand every quantum polls
+                // every channel.
+                ..DaemonConfig::default()
             },
             target_rate: TARGET_RATE_BPS,
             baseline_rate: TARGET_RATE_BPS,

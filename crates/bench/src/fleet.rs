@@ -108,12 +108,8 @@ impl DaemonMultiAppLoop {
             workers,
             channel_capacity: CHANNEL_CAPACITY,
             window_size: BEATS_PER_QUANTUM,
-            inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
-            idle_skip_limit: 0,
-            drain_cap: 0,
             telemetry,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .expect("valid daemon config");
         let apps = (0..app_count)

@@ -142,13 +142,9 @@ fn snapshot_stays_sane_after_producer_sigkill_and_reap() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0,
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
         idle_skip_limit: 4,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let runtime = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())

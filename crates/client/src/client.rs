@@ -164,9 +164,9 @@ pub struct PowerDialClient {
     /// `Some` enables the [`DecisionSource::Reattaching`] rung; cleared on
     /// a permanent refusal (e.g. a broker that predates the protocol).
     reattach_socket: Option<std::path::PathBuf>,
-    #[cfg_attr(not(all(feature = "broker", target_os = "linux")), allow(dead_code))]
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     reattach_attempt: u32,
-    #[cfg_attr(not(all(feature = "broker", target_os = "linux")), allow(dead_code))]
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     next_reattach_at: Option<Instant>,
     beats_until_liveness_probe: u32,
     /// The daemon PID the decision path last probed *alive*, and the poll
@@ -243,7 +243,7 @@ impl PowerDialClient {
     /// refusals, [`ClientError::AttemptsExhausted`] when retries run out.
     ///
     /// [`HelloStatus::Busy`]: powerdial_heartbeats::shm::HelloStatus::Busy
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     pub fn register(
         socket_path: impl AsRef<std::path::Path>,
         config: ClientConfig,
@@ -257,7 +257,7 @@ impl PowerDialClient {
     }
 
     /// One broker handshake, no retries.
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     fn register_once(
         socket_path: &std::path::Path,
         config: &ClientConfig,
@@ -292,7 +292,7 @@ impl PowerDialClient {
     /// inherited across `fork`, or one attached by path): after the daemon
     /// dies, the client offers its segment back through this broker
     /// socket.
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     pub fn set_reattach_socket(&mut self, socket_path: impl Into<std::path::PathBuf>) {
         self.reattach_socket = Some(socket_path.into());
     }
@@ -302,7 +302,7 @@ impl PowerDialClient {
     /// deterministic per-process jitter so a fleet of clients orphaned by
     /// the same crash does not stampede the restarted broker in lockstep.
     fn try_reattach(&mut self, now: Instant) -> bool {
-        #[cfg(all(feature = "broker", target_os = "linux"))]
+        #[cfg(target_os = "linux")]
         {
             let Some(path) = self.reattach_socket.clone() else {
                 return false;
@@ -337,7 +337,7 @@ impl PowerDialClient {
                 }
             }
         }
-        #[cfg(not(all(feature = "broker", target_os = "linux")))]
+        #[cfg(not(target_os = "linux"))]
         {
             let _ = now;
             false
@@ -348,18 +348,14 @@ impl PowerDialClient {
     /// carrying this segment's fd over `SCM_RIGHTS`, and expect a granted
     /// reply (which, unlike a fresh grant, carries no fd back — this side
     /// already holds the segment).
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     fn reattach_once(&mut self, socket_path: &std::path::Path) -> Result<(), ClientError> {
         use powerdial_heartbeats::shm::{
             recv_exact_with_fd, send_with_fd, HelloReply, HelloRequest, HelloStatus,
             HELLO_REPLY_LEN,
         };
 
-        let fd = self
-            .producer
-            .segment()
-            .as_raw_fd()
-            .ok_or(ClientError::Protocol("segment has no fd to offer back"))?;
+        let fd = self.producer.segment().as_raw_fd();
         let stream = std::os::unix::net::UnixStream::connect(socket_path)?;
         stream.set_read_timeout(Some(self.config.hello_timeout))?;
         stream.set_write_timeout(Some(self.config.hello_timeout))?;
@@ -1038,7 +1034,7 @@ mod tests {
         assert_eq!(result.unwrap(), 3, "success ends the retry loop");
     }
 
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     #[test]
     fn reattaching_rung_serves_safe_decision_while_broker_is_unreachable() {
         let segment = segment(16);
@@ -1080,7 +1076,7 @@ mod tests {
         assert_eq!(client.reattach_attempt, 2);
     }
 
-    #[cfg(all(feature = "broker", target_os = "linux"))]
+    #[cfg(target_os = "linux")]
     #[test]
     fn permanent_refusal_abandons_reattach_and_degrades_to_safe_state() {
         use powerdial_heartbeats::shm::{HelloReply, HelloStatus, HELLO_REQUEST_LEN};

@@ -83,10 +83,11 @@
 //! the workspace-level `chaos_recovery` suite SIGKILLs daemons at seeded
 //! random points under multi-app load to prove the recovery loop.
 //!
-//! # Features
+//! # Platforms
 //!
-//! `broker` (default): the Unix-socket attach path. Without it the crate
-//! has no socket code at all — only direct segment attachment.
+//! The Unix-socket attach path ([`PowerDialClient::register`], the
+//! reattach rung) is Linux-only; elsewhere the crate has no socket code at
+//! all — only direct segment attachment.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

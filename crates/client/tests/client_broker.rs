@@ -47,14 +47,8 @@ fn test_table() -> KnobTable {
 fn inline_daemon() -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
         workers: 0,
-        channel_capacity: 256,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }

@@ -56,13 +56,8 @@ fn fork_daemon(segment: &Arc<Segment>) -> powerdial_heartbeats::shm::process::Fo
             let Ok(mut daemon) = PowerDialDaemon::new(DaemonConfig {
                 workers: 0,
                 channel_capacity: 64,
-                window_size: 20,
                 inline_apps: 0,
-                idle_skip_limit: 0,
-                drain_cap: 0,
-                telemetry: true,
-                trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                safe_point: 0,
+                ..DaemonConfig::default()
             }) else {
                 return 2;
             };

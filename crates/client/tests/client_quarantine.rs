@@ -60,11 +60,8 @@ fn quarantined_apps_client_reads_published_safe_state() {
         channel_capacity: 64,
         window_size: 8,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
         safe_point: SAFE_POINT,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let view = daemon

@@ -63,13 +63,7 @@ fn supervisor_config(socket_path: PathBuf, workers: usize) -> SupervisorConfig {
         daemon: DaemonConfig {
             workers,
             channel_capacity: 64,
-            window_size: 20,
-            inline_apps: 4,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         },
         target_rate: 30.0,
         baseline_rate: 30.0,

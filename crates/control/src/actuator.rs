@@ -7,8 +7,6 @@ use serde::{Deserialize, Serialize};
 
 use powerdial_knobs::{CalibrationPoint, KnobTable, PointIdx};
 
-use crate::error::ControlError;
-
 /// The largest number of segments any actuation policy produces: the
 /// minimal-speedup policy mixes at most `s_min` with the default setting;
 /// race-to-idle uses a single segment. Compact schedules exploit this bound
@@ -316,27 +314,6 @@ impl Actuator {
         }
     }
 
-    /// Plans the next quantum, returning an error when the requested speedup
-    /// is unattainable instead of saturating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::SpeedupUnattainable`] when the fastest setting
-    /// cannot deliver the requested speedup.
-    pub fn try_plan(
-        &self,
-        table: &KnobTable,
-        requested_speedup: f64,
-    ) -> Result<Schedule, ControlError> {
-        if requested_speedup > table.max_speedup() {
-            return Err(ControlError::SpeedupUnattainable {
-                requested: requested_speedup,
-                available: table.max_speedup(),
-            });
-        }
-        Ok(self.plan(table, requested_speedup))
-    }
-
     fn plan_race_to_idle(&self, table: &KnobTable, requested: f64) -> CompactSchedule {
         let fastest = table.fastest_idx();
         let s_max = table.speedup_of(fastest);
@@ -475,17 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn unattainable_speedup_saturates_or_errors() {
+    fn unattainable_speedup_saturates() {
         let table = test_table();
         let actuator = Actuator::new(ActuationPolicy::MinimalSpeedup);
         let schedule = actuator.plan(&table, 8.0);
         assert!((schedule.achieved_speedup - 4.0).abs() < 1e-12);
         assert!(!schedule.meets_request());
-        assert!(matches!(
-            actuator.try_plan(&table, 8.0),
-            Err(ControlError::SpeedupUnattainable { .. })
-        ));
-        assert!(actuator.try_plan(&table, 3.0).is_ok());
 
         let race = Actuator::new(ActuationPolicy::RaceToIdle).plan(&table, 8.0);
         assert!((race.achieved_speedup - 4.0).abs() < 1e-12);

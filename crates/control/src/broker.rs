@@ -412,9 +412,6 @@ impl AttachBroker {
             // fails, the broker survives.
             Err(_) => return self.refuse(stream, HelloStatus::Resources),
         };
-        let Some(segment_fd) = segment.as_raw_fd() else {
-            return self.refuse(stream, HelloStatus::Resources);
-        };
         let consumer = match ShmConsumer::attach(Arc::clone(&segment)) {
             Ok(consumer) => consumer,
             Err(_) => return self.refuse(stream, HelloStatus::Resources),
@@ -427,7 +424,7 @@ impl AttachBroker {
         // Reply and fd travel in one sendmsg: a client that read a
         // granted status is guaranteed the fd came with it.
         let reply = HelloReply::new(HelloStatus::Granted).encode();
-        match send_with_fd(&stream, &reply, Some(segment_fd)) {
+        match send_with_fd(&stream, &reply, Some(segment.as_raw_fd())) {
             Ok(()) => {
                 self.granted += 1;
                 AttachOutcome::Granted(view)

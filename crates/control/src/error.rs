@@ -27,14 +27,6 @@ pub enum ControlError {
     },
     /// The time quantum is zero heartbeats.
     ZeroQuantum,
-    /// The knob table cannot deliver the requested speedup even at its
-    /// fastest setting; the schedule saturates at maximum speedup.
-    SpeedupUnattainable {
-        /// The speedup the controller requested.
-        requested: f64,
-        /// The fastest speedup the knob table offers.
-        available: f64,
-    },
     /// A daemon channel capacity of zero records was requested.
     ZeroChannelCapacity,
     /// A daemon sliding-window size of zero heartbeats was requested.
@@ -54,7 +46,10 @@ impl fmt::Display for ControlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ControlError::InvalidTargetRate { rate } => {
-                write!(f, "target heart rate must be positive and finite, got {rate}")
+                write!(
+                    f,
+                    "target heart rate must be positive and finite, got {rate}"
+                )
             }
             ControlError::InvalidBaseSpeed { speed } => {
                 write!(f, "baseline speed must be positive and finite, got {speed}")
@@ -63,13 +58,6 @@ impl fmt::Display for ControlError {
                 write!(f, "invalid speedup range [{min}, {max}]")
             }
             ControlError::ZeroQuantum => write!(f, "time quantum must be at least one heartbeat"),
-            ControlError::SpeedupUnattainable {
-                requested,
-                available,
-            } => write!(
-                f,
-                "requested speedup {requested:.3} exceeds the fastest available knob speedup {available:.3}"
-            ),
             ControlError::ZeroChannelCapacity => {
                 write!(f, "daemon channel capacity must be at least one record")
             }
@@ -114,10 +102,6 @@ mod tests {
             ControlError::InvalidBaseSpeed { speed: 0.0 },
             ControlError::InvalidSpeedupRange { min: 2.0, max: 1.0 },
             ControlError::ZeroQuantum,
-            ControlError::SpeedupUnattainable {
-                requested: 5.0,
-                available: 2.0,
-            },
             ControlError::ZeroChannelCapacity,
             ControlError::ZeroWindowSize,
             ControlError::ShardDead { shard: 3 },

@@ -445,11 +445,8 @@ mod tests {
                     channel_capacity: 8,
                     window_size: 4,
                     inline_apps: 0,
-                    idle_skip_limit: 0,
-                    drain_cap: 0,
                     telemetry: false,
-                    trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-                    safe_point: 0,
+                    ..DaemonConfig::default()
                 },
                 target_rate: 30.0,
                 baseline_rate: 30.0,

@@ -64,13 +64,8 @@ fn inline_daemon() -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
         workers: 0,
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }
@@ -431,7 +426,7 @@ fn reattach_hello_adopts_existing_segment_without_returning_fd() {
     send_with_fd(
         &stream,
         &HelloRequest::reattach(64).encode(),
-        segment.as_raw_fd(),
+        Some(segment.as_raw_fd()),
     )
     .unwrap();
     let outcome = serve_one(&mut broker, &mut daemon, 0);
@@ -484,7 +479,7 @@ fn fresh_hello_with_smuggled_fd_is_malformed() {
     send_with_fd(
         &stream,
         &HelloRequest::new(64).encode(),
-        segment.as_raw_fd(),
+        Some(segment.as_raw_fd()),
     )
     .unwrap();
     let outcome = serve_one(&mut broker, &mut daemon, 0);
@@ -537,7 +532,7 @@ fn reattach_of_live_consumer_is_refused_busy() {
     send_with_fd(
         &stream,
         &HelloRequest::reattach(16).encode(),
-        segment.as_raw_fd(),
+        Some(segment.as_raw_fd()),
     )
     .unwrap();
     let outcome = serve_one(&mut broker, &mut daemon, 0);

@@ -172,14 +172,8 @@ impl KernelPair {
 fn inline_config() -> DaemonConfig {
     DaemonConfig {
         workers: 0,
-        channel_capacity: 256,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     }
 }
 
@@ -210,9 +204,6 @@ fn batched_kernel_matches_per_beat_walk_under_drain_cap() {
     // quantum, so capped drains straddle planning boundaries.
     let config = DaemonConfig {
         drain_cap: 7,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
         ..inline_config()
     };
     let runtime = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -313,13 +304,8 @@ fn flood_grown_scratch_shrinks_after_the_flood_subsides() {
     let config = DaemonConfig {
         workers: 0,
         channel_capacity: 4096,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     };
     let runtime = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
         .with_quantum_heartbeats(20)

@@ -69,11 +69,8 @@ fn daemon(workers: usize) -> PowerDialDaemon {
         channel_capacity: CAPACITY,
         window_size: 8,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
         safe_point: SAFE_POINT,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }

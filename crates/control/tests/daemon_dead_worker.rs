@@ -60,11 +60,7 @@ fn two_worker_daemon() -> PowerDialDaemon {
         channel_capacity: 64,
         window_size: 4,
         inline_apps: 0, // force apps onto workers
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }

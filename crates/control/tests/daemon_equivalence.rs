@@ -66,11 +66,7 @@ fn daemon_matches_serial_simulation_beat_for_beat() {
             channel_capacity: 64,
             window_size,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
         let mut app = daemon.register(runtime_config, test_table()).unwrap();

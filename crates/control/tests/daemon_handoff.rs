@@ -64,13 +64,8 @@ fn config(workers: usize) -> DaemonConfig {
     DaemonConfig {
         workers,
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 1,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     }
 }
 

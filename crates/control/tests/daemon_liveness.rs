@@ -70,13 +70,9 @@ fn daemon(workers: usize, idle_skip_limit: u32) -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
         workers,
         channel_capacity: CAPACITY,
-        window_size: 20,
         inline_apps: 1,
         idle_skip_limit,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }

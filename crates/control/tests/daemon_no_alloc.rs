@@ -149,13 +149,8 @@ fn per_quantum_drain_loop_does_not_allocate() {
         let mut daemon = PowerDialDaemon::new(DaemonConfig {
             workers: 0, // inline: the drain loop runs on this thread
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         })
         .unwrap();
         let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -206,13 +201,8 @@ fn a_registration_allocates_fewer_blocks_than_with_the_deque_window() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0, // inline: registration runs on this thread
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -243,13 +233,8 @@ fn per_quantum_shm_drain_loop_does_not_allocate() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0, // inline: the drain loop runs on this thread
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -334,13 +319,8 @@ fn serve_loop_iteration_does_not_allocate_while_nobody_connects() {
         daemon: DaemonConfig {
             workers: 0, // inline: the whole iteration runs on this thread
             channel_capacity: 64,
-            window_size: 20,
             inline_apps: 0,
-            idle_skip_limit: 0,
-            drain_cap: 0,
-            telemetry: true,
-            trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-            safe_point: 0,
+            ..DaemonConfig::default()
         },
         target_rate: 30.0,
         baseline_rate: 30.0,
@@ -423,13 +403,9 @@ fn producer_death_allocates_nothing_until_the_reaped_ids_are_handed_over() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0, // inline: the drain loop runs on this thread
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 0,
         idle_skip_limit: 3,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     let config = RuntimeConfig::new(ControllerConfig::new(30.0, 30.0).unwrap())
@@ -561,13 +537,8 @@ fn worker_hand_off_does_not_allocate_on_either_thread() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 1,
         channel_capacity: 64,
-        window_size: 20,
         inline_apps: 1, // one app on the façade's shard, three on the worker's
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
     pin(second.and(first));

@@ -65,13 +65,8 @@ fn daemon(workers: usize) -> PowerDialDaemon {
     PowerDialDaemon::new(DaemonConfig {
         workers,
         channel_capacity: CAPACITY,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap()
 }

@@ -53,14 +53,8 @@ fn produce(mut app: AppHandle, beats: u64, seed: u64) -> AppHandle {
 fn concurrent_producers_lose_no_accepted_beats() {
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 2,
-        channel_capacity: 256,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
 
@@ -117,11 +111,7 @@ fn unregister_mid_stream_keeps_other_apps_alive() {
         channel_capacity: 32,
         window_size: 10,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })
     .unwrap();
 

@@ -277,12 +277,7 @@ pub fn consolidation_study_live(
         workers: options.workers,
         channel_capacity: (quantum * 2).max(DaemonConfig::DEFAULT_CHANNEL_CAPACITY),
         window_size: quantum,
-        inline_apps: DaemonConfig::DEFAULT_INLINE_APPS,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })?;
     let mut registry = HeartbeatRegistry::new();
     let mut machines = Vec::with_capacity(consolidated_machines);

@@ -47,7 +47,6 @@ mod monitor;
 pub mod naive;
 mod record;
 mod registry;
-mod ring;
 pub mod shm;
 pub mod spsc;
 mod stats;
@@ -56,10 +55,9 @@ mod time;
 
 pub use channel::{beat_channel, BeatConsumer, BeatProducer, BeatSample};
 pub use error::HeartbeatError;
-pub use monitor::{HeartbeatMonitor, MonitorConfig, TargetRate, DEFAULT_HISTORY_CAPACITY};
+pub use monitor::{HeartbeatMonitor, MonitorConfig, TargetRate};
 pub use record::{HeartRate, HeartbeatRecord, HeartbeatTag};
 pub use registry::{HeartbeatRegistry, MonitorId};
-pub use ring::{HistoryIter, HistoryRing};
 pub use stats::{RateStatistics, SlidingWindow, WindowOverflow};
 pub use telemetry::{
     DecisionTraceRecord, DecisionTraceRing, HistogramSummary, LatencyHistogram, TraceReason,

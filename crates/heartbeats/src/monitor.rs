@@ -5,20 +5,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::HeartbeatError;
 use crate::record::{HeartRate, HeartbeatRecord, HeartbeatTag};
-use crate::ring::HistoryRing;
 use crate::stats::{RateStatistics, SlidingWindow};
 use crate::time::{Timestamp, TimestampDelta};
 
 /// Default number of heartbeats in the sliding window (the paper's control
 /// system smooths performance over the last twenty heartbeats).
 pub const DEFAULT_WINDOW_SIZE: usize = 20;
-
-/// Default number of [`HeartbeatRecord`]s a monitor retains when no explicit
-/// history capacity is configured. Large enough that short runs (tests,
-/// calibration sweeps, the paper's experiments) observe every record, while
-/// bounding memory on a long-running service — the unbounded history the
-/// monitor originally kept grew without limit, one record per beat, forever.
-pub const DEFAULT_HISTORY_CAPACITY: usize = 65_536;
 
 /// A target heart-rate range: the performance goal of the application.
 ///
@@ -89,8 +81,7 @@ impl TargetRate {
 /// # fn main() -> Result<(), powerdial_heartbeats::HeartbeatError> {
 /// let config = MonitorConfig::new("bodytrack")
 ///     .with_window_size(20)
-///     .with_target_rate_range(0.5, 1.5)?
-///     .with_history_capacity(Some(4096));
+///     .with_target_rate_range(0.5, 1.5)?;
 /// assert_eq!(config.name(), "bodytrack");
 /// # Ok(())
 /// # }
@@ -100,18 +91,16 @@ pub struct MonitorConfig {
     name: String,
     window_size: usize,
     target: Option<TargetRate>,
-    history_capacity: Option<usize>,
 }
 
 impl MonitorConfig {
-    /// Creates a configuration with the default window size, no target rate,
-    /// and unbounded history.
+    /// Creates a configuration with the default window size and no target
+    /// rate.
     pub fn new(name: impl Into<String>) -> Self {
         MonitorConfig {
             name: name.into(),
             window_size: DEFAULT_WINDOW_SIZE,
             target: None,
-            history_capacity: None,
         }
     }
 
@@ -160,15 +149,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Limits how many [`HeartbeatRecord`]s the monitor retains. `None`
-    /// selects the default retention of [`DEFAULT_HISTORY_CAPACITY`] records
-    /// — history is always bounded; the sliding-window statistics and the
-    /// global rate are unaffected by the retention limit.
-    pub fn with_history_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.history_capacity = capacity;
-        self
-    }
-
     /// The application name attached to heartbeats from this monitor.
     pub fn name(&self) -> &str {
         &self.name
@@ -194,18 +174,6 @@ impl MonitorConfig {
     pub fn target_opt(&self) -> Option<TargetRate> {
         self.target
     }
-
-    /// The configured history capacity (`None` means the default,
-    /// [`DEFAULT_HISTORY_CAPACITY`]).
-    pub fn history_capacity(&self) -> Option<usize> {
-        self.history_capacity
-    }
-
-    /// The retention actually applied: the configured capacity, or
-    /// [`DEFAULT_HISTORY_CAPACITY`] when none was set.
-    pub fn effective_history_capacity(&self) -> usize {
-        self.history_capacity.unwrap_or(DEFAULT_HISTORY_CAPACITY)
-    }
 }
 
 /// Tracks the heartbeats of one application instance.
@@ -218,7 +186,7 @@ impl MonitorConfig {
 pub struct HeartbeatMonitor {
     config: MonitorConfig,
     window: SlidingWindow,
-    history: HistoryRing,
+    last_record: Option<HeartbeatRecord>,
     next_tag: HeartbeatTag,
     first_timestamp: Option<Timestamp>,
     last_timestamp: Option<Timestamp>,
@@ -229,11 +197,10 @@ impl HeartbeatMonitor {
     /// Creates a monitor from its configuration.
     pub fn new(config: MonitorConfig) -> Self {
         let window = SlidingWindow::new(config.window_size());
-        let history = HistoryRing::new(config.effective_history_capacity());
         HeartbeatMonitor {
             config,
             window,
-            history,
+            last_record: None,
             next_tag: HeartbeatTag::default(),
             first_timestamp: None,
             last_timestamp: None,
@@ -299,7 +266,7 @@ impl HeartbeatMonitor {
             global_rate: self.global_rate(),
         };
 
-        self.history.push(record);
+        self.last_record = Some(record);
         Ok(record)
     }
 
@@ -320,13 +287,7 @@ impl HeartbeatMonitor {
 
     /// The most recent heartbeat record, if any.
     pub fn last_record(&self) -> Option<&HeartbeatRecord> {
-        self.history.last()
-    }
-
-    /// The retained heartbeat records, oldest first, capped at the
-    /// configured retention (see [`MonitorConfig::with_history_capacity`]).
-    pub fn history(&self) -> &HistoryRing {
-        &self.history
+        self.last_record.as_ref()
     }
 
     /// The heart rate over the sliding window, if at least two beats have
@@ -366,7 +327,7 @@ impl HeartbeatMonitor {
     /// Resets the monitor to its initial state, keeping the configuration.
     pub fn reset(&mut self) {
         self.window.clear();
-        self.history.clear();
+        self.last_record = None;
         self.next_tag = HeartbeatTag::default();
         self.first_timestamp = None;
         self.last_timestamp = None;
@@ -437,35 +398,7 @@ mod tests {
         m.heartbeat(Timestamp::from_millis(10));
         let record = m.try_heartbeat(Timestamp::from_millis(10)).unwrap();
         assert_eq!(record.latency, TimestampDelta::ZERO);
-    }
-
-    #[test]
-    fn zero_history_capacity_retains_nothing_but_beats_still_count() {
-        let config = MonitorConfig::new("no-history")
-            .with_window_size(4)
-            .with_history_capacity(Some(0));
-        let mut m = HeartbeatMonitor::new(config);
-        for i in 0..10u64 {
-            m.heartbeat(Timestamp::from_millis(i * 10));
-        }
-        assert!(m.history().is_empty());
-        assert!(m.last_record().is_none());
-        assert_eq!(m.total_beats(), 10);
-        assert!(m.window_rate().is_some());
-    }
-
-    #[test]
-    fn history_capacity_bounds_retained_records() {
-        let config = MonitorConfig::new("bounded")
-            .with_window_size(4)
-            .with_history_capacity(Some(3));
-        let mut m = HeartbeatMonitor::new(config);
-        for i in 0..10u64 {
-            m.heartbeat(Timestamp::from_millis(i));
-        }
-        assert_eq!(m.history().len(), 3);
-        assert_eq!(m.history()[0].tag, HeartbeatTag(7));
-        assert_eq!(m.total_beats(), 10);
+        assert_eq!(m.last_record(), Some(&record));
     }
 
     #[test]
@@ -494,7 +427,7 @@ mod tests {
         }
         m.reset();
         assert_eq!(m.total_beats(), 0);
-        assert!(m.history().is_empty());
+        assert!(m.last_record().is_none());
         assert!(m.window_rate().is_none());
         assert!(m.global_rate().is_none());
         let record = m.heartbeat(Timestamp::from_millis(999));
@@ -520,11 +453,9 @@ mod tests {
             .try_with_window_size(8)
             .unwrap()
             .with_target_rate_range(1.0, 2.0)
-            .unwrap()
-            .with_history_capacity(Some(16));
+            .unwrap();
         assert_eq!(config.name(), "swaptions");
         assert_eq!(config.window_size(), 8);
-        assert_eq!(config.history_capacity(), Some(16));
         assert!(config.target_opt().is_some());
         assert!(MonitorConfig::new("x").try_with_window_size(0).is_err());
     }

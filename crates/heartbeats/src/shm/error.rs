@@ -119,8 +119,8 @@ pub enum ShmError {
         /// The stale PID.
         pid: u32,
     },
-    /// No segment backing is available on this platform / feature set
-    /// (non-Unix build without the `shm-fake` feature).
+    /// No segment backing is available on this platform (a target without
+    /// `mmap`).
     NoBackingAvailable,
 }
 

@@ -489,7 +489,7 @@ mod tests {
         let (ours, theirs) = UnixStream::pair().unwrap();
         let segment = Segment::create(SegmentGeometry::for_beat_samples(16).unwrap()).unwrap();
         let reply = HelloReply::new(HelloStatus::Granted).encode();
-        send_with_fd(&ours, &reply, segment.as_raw_fd()).unwrap();
+        send_with_fd(&ours, &reply, Some(segment.as_raw_fd())).unwrap();
 
         let mut buf = [0u8; HELLO_REPLY_LEN];
         let fd = recv_exact_with_fd(&theirs, &mut buf).unwrap();
@@ -498,7 +498,7 @@ mod tests {
             HelloStatus::Granted
         );
         let fd = fd.expect("granted reply carries the segment fd");
-        assert_ne!(fd.as_raw_fd(), segment.as_raw_fd().unwrap(), "kernel dups");
+        assert_ne!(fd.as_raw_fd(), segment.as_raw_fd(), "kernel dups");
 
         // The received fd maps the same memory: writes cross over.
         let attached = Segment::attach_fd(std::fs::File::from(fd)).unwrap();

@@ -14,11 +14,10 @@
 //!   fixed-stride slot array of [`ShmBeatSample`] records;
 //! * [`seqlock`] — [`SeqBlock`], the one seqlock both daemon-owned blocks
 //!   of the header (decision, warm-start) are instances of;
-//! * [`segment`] — creating and mapping segments: `memfd_create` + `mmap`
-//!   on Linux (`shm-memfd` feature), a tmpfile mapping on any Unix
-//!   (attachable by path from unrelated processes), and a feature-gated
-//!   in-memory fake (`shm-fake`) so the protocol logic is testable on any
-//!   platform;
+//! * [`segment`] — creating and mapping segments over two backings, chosen
+//!   at run time: `memfd_create` + `mmap` on Linux, and a tmpfile mapping
+//!   on any Unix (attachable by path from unrelated processes) when
+//!   `memfd_create` refuses;
 //! * [`transport`] — [`ShmProducer`] / [`ShmConsumer`]: the ring
 //!   instantiated over the mapped atomics (wait-free `try_push`, batched
 //!   `drain_into`), plus the attach-time handshake, peer liveness, and the

@@ -1,17 +1,15 @@
 //! Creating, mapping, and probing shared-memory segments.
 //!
 //! A [`Segment`] is a fixed-size byte region holding a [`SegmentHeader`]
-//! followed by the slot array, behind one of three backings:
+//! followed by the slot array, mapped shared over one of two backings,
+//! chosen at run time:
 //!
-//! * **memfd** (`memfd_create` + `mmap`, Linux, `shm-memfd` feature) — an
-//!   anonymous shared file: forked children inherit the mapping, and the fd
-//!   can be handed to unrelated processes over a Unix socket;
-//! * **tmpfile** (`mmap` of a temporary file, any Unix) — the portable
-//!   fallback; unrelated processes attach by path via [`Segment::open`];
-//! * **in-memory fake** (`shm-fake` feature, any platform) — a plain heap
-//!   allocation with the same layout, so the protocol logic (handshake,
-//!   validation, ring discipline) is testable where `mmap` is unavailable.
-//!   It is *not* visible to other processes.
+//! * **memfd** (`memfd_create` + `mmap`, Linux) — an anonymous shared file:
+//!   forked children inherit the mapping, and the fd can be handed to
+//!   unrelated processes over a Unix socket;
+//! * **tmpfile** (`mmap` of a temporary file, any Unix) — what
+//!   [`Segment::create`] falls back to when `memfd_create` refuses;
+//!   unrelated processes attach by path via [`Segment::open`].
 //!
 //! The segment itself is policy-free bytes; the ownership handshake lives
 //! in [`crate::shm::transport`].
@@ -61,10 +59,10 @@ mod sys {
         pub fn close(fd: c_int) -> c_int;
     }
 
-    #[cfg(all(target_os = "linux", feature = "shm-memfd"))]
+    #[cfg(target_os = "linux")]
     pub const MFD_CLOEXEC: std::os::raw::c_uint = 1;
 
-    #[cfg(all(target_os = "linux", feature = "shm-memfd"))]
+    #[cfg(target_os = "linux")]
     extern "C" {
         pub fn memfd_create(
             name: *const std::os::raw::c_char,
@@ -246,8 +244,7 @@ pub fn jittered_backoff(base: std::time::Duration, attempt: u32) -> std::time::D
 ///
 /// On Unix this is `kill(pid, 0)`: success or `EPERM` means the process
 /// exists, `ESRCH` means it does not. Elsewhere only the current process
-/// can be confirmed alive, which is exactly the reach of the in-memory
-/// fake backing.
+/// can be confirmed alive.
 pub fn pid_alive(pid: u32) -> bool {
     // 0 is "unclaimed", and anything beyond i32::MAX cannot be a real PID
     // (and would turn into a process-group kill if passed through).
@@ -274,8 +271,6 @@ pub enum BackingKind {
     Memfd,
     /// `mmap(MAP_SHARED)` over a temporary file.
     TmpFile,
-    /// Heap allocation (testing fake; not cross-process).
-    InMemory,
 }
 
 impl fmt::Display for BackingKind {
@@ -283,27 +278,11 @@ impl fmt::Display for BackingKind {
         match self {
             BackingKind::Memfd => f.write_str("memfd"),
             BackingKind::TmpFile => f.write_str("tmpfile"),
-            BackingKind::InMemory => f.write_str("in-memory"),
         }
     }
 }
 
-enum Backing {
-    #[cfg(unix)]
-    Mapped {
-        /// Keeps the backing fd open for the lifetime of the mapping (a
-        /// forked child or fd-passing peer may still need it).
-        _file: std::fs::File,
-        /// For tmpfile backings created by us: the path, unlinked on drop.
-        owned_path: Option<PathBuf>,
-        /// For attached tmpfile backings: the path, left in place.
-        path: Option<PathBuf>,
-    },
-    #[cfg(feature = "shm-fake")]
-    Heap { layout: std::alloc::Layout },
-}
-
-/// A mapped (or fake) shared-memory segment.
+/// A mapped shared-memory segment.
 ///
 /// The segment owns its mapping; producers and consumers hold it behind an
 /// `Arc` so the bytes outlive whichever side detaches last *within* a
@@ -314,7 +293,13 @@ pub struct Segment {
     len: usize,
     geometry: SegmentGeometry,
     kind: BackingKind,
-    backing: Backing,
+    /// Keeps the backing fd open for the lifetime of the mapping (a forked
+    /// child or fd-passing peer may still need it).
+    file: std::fs::File,
+    /// For tmpfile backings created by us: the path, unlinked on drop.
+    owned_path: Option<PathBuf>,
+    /// For attached tmpfile backings: the path, left in place.
+    path: Option<PathBuf>,
 }
 
 // SAFETY: the segment's bytes are shared memory by design; all mutation of
@@ -342,20 +327,13 @@ impl Segment {
     /// memfd where supported, falling back to a tmpfile under
     /// [`std::env::temp_dir`].
     ///
-    /// On Unix this never silently degrades to the in-memory fake — a
-    /// fake segment is invisible to other processes, so a forked or
-    /// attached peer would spin forever on a ring nobody shares with it.
-    /// The fake is only chosen on platforms with no `mmap` at all (where
-    /// no cross-process deployment exists to be broken); tests that want
-    /// it explicitly call [`Segment::create_in_memory`].
-    ///
     /// # Errors
     ///
-    /// Returns the tmpfile-creation [`ShmError::Io`] when both real
-    /// backings fail, or [`ShmError::NoBackingAvailable`] when every
-    /// backing is compiled out.
+    /// Returns the tmpfile-creation [`ShmError::Io`] when both backings
+    /// fail, or [`ShmError::NoBackingAvailable`] on a target with no
+    /// `mmap`.
     pub fn create(geometry: SegmentGeometry) -> Result<Segment, ShmError> {
-        #[cfg(all(target_os = "linux", feature = "shm-memfd"))]
+        #[cfg(target_os = "linux")]
         {
             // Fall through on failure (e.g. a seccomp filter denying the
             // syscall): the tmpfile backing is functionally equivalent.
@@ -365,16 +343,13 @@ impl Segment {
         }
         #[cfg(unix)]
         {
-            // Propagate the error: no silent downgrade below a shareable
-            // mapping.
-            return Segment::create_tmpfile_in(std::env::temp_dir(), geometry);
+            Segment::create_tmpfile_in(std::env::temp_dir(), geometry)
         }
-        #[cfg(all(not(unix), feature = "shm-fake"))]
+        #[cfg(not(unix))]
         {
-            return Segment::create_in_memory(geometry);
+            let _ = geometry;
+            Err(ShmError::NoBackingAvailable)
         }
-        #[allow(unreachable_code)]
-        Err(ShmError::NoBackingAvailable)
     }
 
     /// Creates a memfd-backed segment.
@@ -383,7 +358,7 @@ impl Segment {
     ///
     /// Returns [`ShmError::Io`] when `memfd_create`, `ftruncate`, or
     /// `mmap` fails.
-    #[cfg(all(target_os = "linux", feature = "shm-memfd"))]
+    #[cfg(target_os = "linux")]
     pub fn create_memfd(geometry: SegmentGeometry) -> Result<Segment, ShmError> {
         use std::os::fd::FromRawFd;
 
@@ -403,7 +378,9 @@ impl Segment {
 
     /// Creates a tmpfile-backed segment in `dir`; other processes attach
     /// with [`Segment::open`] on [`Segment::path`]. The file is unlinked
-    /// when the creating segment drops.
+    /// when the creating segment drops, and is created owner-only (`0o600`):
+    /// it *is* the decision block and the beat ring, and `dir` is usually
+    /// the shared [`std::env::temp_dir`].
     ///
     /// # Errors
     ///
@@ -414,6 +391,8 @@ impl Segment {
         dir: impl AsRef<Path>,
         geometry: SegmentGeometry,
     ) -> Result<Segment, ShmError> {
+        use std::os::unix::fs::OpenOptionsExt;
+
         geometry.validate()?;
         let sequence = TMPFILE_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = dir.as_ref().join(format!(
@@ -425,6 +404,7 @@ impl Segment {
             .read(true)
             .write(true)
             .create_new(true)
+            .mode(0o600)
             .open(&path)
             .map_err(|source| ShmError::Io {
                 op: "open(tmpfile)",
@@ -459,44 +439,9 @@ impl Segment {
             len,
             geometry,
             kind,
-            backing: Backing::Mapped {
-                _file: file,
-                owned_path,
-                path: None,
-            },
-        };
-        segment.header().initialize(geometry);
-        Ok(segment)
-    }
-
-    /// Creates the heap-backed in-memory fake (same layout and protocol,
-    /// no cross-process visibility).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShmError::BadGeometry`] for an invalid geometry.
-    #[cfg(feature = "shm-fake")]
-    pub fn create_in_memory(geometry: SegmentGeometry) -> Result<Segment, ShmError> {
-        geometry.validate()?;
-        let len = geometry.total_len();
-        // Page-align the fake so header offsets have the same cache-line
-        // placement as a real mapping.
-        let layout =
-            std::alloc::Layout::from_size_align(len, 4096).map_err(|_| ShmError::BadGeometry {
-                field: "total_len",
-                found: len as u64,
-            })?;
-        // SAFETY: `layout` has nonzero size (≥ SEGMENT_HEADER_LEN).
-        let raw = unsafe { std::alloc::alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw) else {
-            std::alloc::handle_alloc_error(layout);
-        };
-        let segment = Segment {
-            ptr,
-            len,
-            geometry,
-            kind: BackingKind::InMemory,
-            backing: Backing::Heap { layout },
+            file,
+            owned_path,
+            path: None,
         };
         segment.header().initialize(geometry);
         Ok(segment)
@@ -573,11 +518,9 @@ impl Segment {
             // Placeholder until the header is validated below.
             geometry: SegmentGeometry::for_beat_samples(1).expect("static geometry"),
             kind,
-            backing: Backing::Mapped {
-                _file: file,
-                owned_path: None,
-                path,
-            },
+            file,
+            owned_path: None,
+            path,
         };
         segment.geometry = segment.header().validate(segment.len)?;
         Ok(segment)
@@ -591,10 +534,9 @@ impl Segment {
             0
         );
         // SAFETY: the mapping is at least SEGMENT_HEADER_LEN bytes, lives
-        // as long as `self`, is suitably aligned (page-aligned mmap or
-        // page-aligned heap allocation), and every header field is an
-        // atomic, so shared references are sound even while another
-        // process mutates the memory.
+        // as long as `self`, is suitably aligned (page-aligned mmap), and
+        // every header field is an atomic, so shared references are sound
+        // even while another process mutates the memory.
         unsafe { &*(self.ptr.as_ptr() as *const SegmentHeader) }
     }
 
@@ -629,33 +571,21 @@ impl Segment {
         self.kind
     }
 
-    /// For file-backed segments: the raw file descriptor another process
-    /// can attach through, after receiving it over a Unix socket
-    /// (`SCM_RIGHTS`) or inheriting it. `None` for the in-memory fake. The
+    /// The raw file descriptor another process can attach through, after
+    /// receiving it over a Unix socket (`SCM_RIGHTS`) or inheriting it. The
     /// fd stays owned by this segment — callers duplicate it (the kernel
     /// does, for fd passing) rather than close it.
     #[cfg(unix)]
-    pub fn as_raw_fd(&self) -> Option<std::os::fd::RawFd> {
+    pub fn as_raw_fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
-        match &self.backing {
-            Backing::Mapped { _file, .. } => Some(_file.as_raw_fd()),
-            #[cfg(feature = "shm-fake")]
-            Backing::Heap { .. } => None,
-        }
+        self.file.as_raw_fd()
     }
 
-    /// For file-backed segments: the filesystem path another process can
-    /// [`Segment::open`] (tmpfile backings only; memfds are attached by
-    /// inheriting the mapping or passing the fd).
+    /// The filesystem path another process can [`Segment::open`] (tmpfile
+    /// backings only; memfds are attached by inheriting the mapping or
+    /// passing the fd).
     pub fn path(&self) -> Option<&Path> {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Mapped {
-                owned_path, path, ..
-            } => owned_path.as_deref().or(path.as_deref()),
-            #[cfg(feature = "shm-fake")]
-            Backing::Heap { .. } => None,
-        }
+        self.owned_path.as_deref().or(self.path.as_deref())
     }
 
     /// Raw pointer to the start of slot `index` (callers mask positions
@@ -671,24 +601,15 @@ impl Segment {
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Mapped { owned_path, .. } => {
-                // SAFETY: `ptr`/`len` describe a live mapping created by
-                // `map_shared`; after this call nothing dereferences it
-                // (we are in drop).
-                unsafe {
-                    sys::munmap(self.ptr.as_ptr() as *mut std::os::raw::c_void, self.len);
-                }
-                if let Some(path) = owned_path {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-            #[cfg(feature = "shm-fake")]
-            Backing::Heap { layout } => {
-                // SAFETY: allocated in `create_in_memory` with this layout.
-                unsafe { std::alloc::dealloc(self.ptr.as_ptr(), *layout) };
-            }
+        // SAFETY: `ptr`/`len` describe a live mapping created by
+        // `map_shared`; after this call nothing dereferences it (we are in
+        // drop).
+        #[cfg(unix)]
+        unsafe {
+            sys::munmap(self.ptr.as_ptr() as *mut std::os::raw::c_void, self.len);
+        }
+        if let Some(path) = &self.owned_path {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -738,15 +659,6 @@ mod tests {
         assert!(!segment.is_empty());
     }
 
-    #[cfg(feature = "shm-fake")]
-    #[test]
-    fn in_memory_fake_has_same_layout() {
-        let segment = Segment::create_in_memory(geometry()).unwrap();
-        assert_eq!(segment.backing_kind(), BackingKind::InMemory);
-        assert_eq!(segment.path(), None);
-        assert_eq!(segment.validate().unwrap(), geometry());
-    }
-
     #[cfg(unix)]
     #[test]
     fn tmpfile_segment_reopens_by_path() {
@@ -764,7 +676,20 @@ mod tests {
         assert!(!path.exists(), "creator unlinks its tmpfile");
     }
 
-    #[cfg(all(target_os = "linux", feature = "shm-memfd"))]
+    #[cfg(unix)]
+    #[test]
+    fn tmpfile_segment_is_private_to_its_owner() {
+        use std::os::unix::fs::PermissionsExt;
+
+        let segment = Segment::create_tmpfile_in(std::env::temp_dir(), geometry()).unwrap();
+        let mode = std::fs::metadata(segment.path().unwrap())
+            .unwrap()
+            .permissions()
+            .mode();
+        assert_eq!(mode & 0o077, 0, "group/other can reach the ring: {mode:o}");
+    }
+
+    #[cfg(target_os = "linux")]
     #[test]
     fn memfd_segment_creates_and_validates() {
         let segment = Segment::create_memfd(geometry()).unwrap();
@@ -814,7 +739,7 @@ mod tests {
         use std::os::fd::FromRawFd;
 
         let created = Segment::create(geometry()).unwrap();
-        let raw = created.as_raw_fd().expect("file-backed segment has an fd");
+        let raw = created.as_raw_fd();
         // Duplicate the fd the way fd-passing would (the kernel dups on
         // SCM_RIGHTS transfer); attach through the duplicate.
         let dup = unsafe { sys_dup(raw) };

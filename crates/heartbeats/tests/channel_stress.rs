@@ -1,6 +1,7 @@
 //! Multi-thread stress tests for the lock-free SPSC heartbeat ring, over
-//! both of its storages: the in-heap channel and a shared-memory segment
-//! mapped once into this address space.
+//! every storage that ships: the in-heap channel and a shared-memory
+//! segment on each backing (memfd, tmpfile), mapped once into this address
+//! space.
 //!
 //! These are the tests that catch atomics-ordering bugs, so CI runs them
 //! under `cargo test --release` as well as the default debug profile: the
@@ -18,17 +19,19 @@ use powerdial_heartbeats::{HeartbeatTag, Timestamp, TimestampDelta};
 /// to expose index or ordering mistakes, small enough for debug CI.
 const STRESS_ITEMS: u64 = 200_000;
 
-/// The shm pair on an in-process segment: the heap-backed fake where it is
-/// compiled in (so the `shm-fake`-only CI job stresses that backing), the
-/// platform's mapping otherwise. Two threads of one process are the one
-/// deployment the fork suites do not cover.
-fn shm_pair(capacity: usize) -> (ShmProducer, ShmConsumer) {
+/// One fresh segment per backing this target has. Two threads of one
+/// process are the one deployment the fork suites do not cover.
+fn segments(capacity: usize) -> Vec<Segment> {
     let geometry = SegmentGeometry::for_beat_samples(capacity).unwrap();
-    #[cfg(feature = "shm-fake")]
-    let segment = Segment::create_in_memory(geometry);
-    #[cfg(not(feature = "shm-fake"))]
-    let segment = Segment::create(geometry);
-    let segment = Arc::new(segment.unwrap());
+    let tmpfile = Segment::create_tmpfile_in(std::env::temp_dir(), geometry).unwrap();
+    #[cfg(target_os = "linux")]
+    return vec![Segment::create_memfd(geometry).unwrap(), tmpfile];
+    #[cfg(not(target_os = "linux"))]
+    vec![tmpfile]
+}
+
+fn shm_pair(segment: Segment) -> (ShmProducer, ShmConsumer) {
+    let segment = Arc::new(segment);
     (
         ShmProducer::attach(Arc::clone(&segment)).unwrap(),
         ShmConsumer::attach(segment).unwrap(),
@@ -36,15 +39,15 @@ fn shm_pair(capacity: usize) -> (ShmProducer, ShmConsumer) {
 }
 
 /// Runs a suite body once per storage, `$tx`/`$rx` bound to a fresh pair
-/// of the given capacity (a power of two, so both rings hold the same).
-macro_rules! on_both_storages {
+/// of the given capacity (a power of two, so every ring holds the same).
+macro_rules! on_every_storage {
     ($capacity:expr, |$tx:ident, $rx:ident| $body:block) => {{
         {
             let (mut $tx, mut $rx) = beat_channel($capacity);
             $body
         }
-        {
-            let (mut $tx, mut $rx) = shm_pair($capacity);
+        for segment in segments($capacity) {
+            let (mut $tx, mut $rx) = shm_pair(segment);
             $body
         }
     }};
@@ -61,7 +64,7 @@ fn item(value: u64) -> BeatSample {
 
 #[test]
 fn concurrent_drain_sees_every_item_in_order() {
-    on_both_storages!(64, |tx, rx| {
+    on_every_storage!(64, |tx, rx| {
         let producer = thread::spawn(move || {
             let mut value = 0u64;
             while value < STRESS_ITEMS {
@@ -98,7 +101,7 @@ fn concurrent_drain_sees_every_item_in_order() {
 
 #[test]
 fn concurrent_pop_sees_every_item_in_order() {
-    on_both_storages!(8, |tx, rx| {
+    on_every_storage!(8, |tx, rx| {
         let producer = thread::spawn(move || {
             let mut value = 0u64;
             while value < STRESS_ITEMS / 4 {
@@ -129,7 +132,7 @@ fn concurrent_pop_sees_every_item_in_order() {
 #[test]
 fn concurrent_beat_stream_preserves_tags_and_timestamps() {
     let beats = STRESS_ITEMS / 4;
-    on_both_storages!(32, |tx, rx| {
+    on_every_storage!(32, |tx, rx| {
         let producer = thread::spawn(move || {
             let mut now = Timestamp::ZERO;
             for tag in 0..beats {
@@ -190,7 +193,7 @@ fn full_ring_backpressure_never_overwrites() {
     // must come out exactly once, in order, regardless of how many pushes
     // bounce.
     let attempts = 50_000u64;
-    on_both_storages!(2, |tx, rx| {
+    on_every_storage!(2, |tx, rx| {
         let producer = thread::spawn(move || {
             let mut accepted = Vec::new();
             for value in 0..attempts {

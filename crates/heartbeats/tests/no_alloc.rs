@@ -1,11 +1,10 @@
 //! Proof that the steady-state heartbeat hot path is allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; after warming the
-//! sliding window and the history ring past their growth phases, thousands
-//! of further heartbeats and rate/statistics queries must not allocate at
-//! all. This is the enforceable form of the O(1) rework's contract — a
-//! timing benchmark can regress silently under noise, an allocation count
-//! cannot.
+//! sliding window past its growth phase, thousands of further heartbeats
+//! and rate/statistics queries must not allocate at all. This is the
+//! enforceable form of the O(1) rework's contract — a timing benchmark can
+//! regress silently under noise, an allocation count cannot.
 //!
 //! The counter is thread-local, so other harness threads cannot pollute
 //! the measurement; keep the measured loops on the test thread itself.
@@ -90,12 +89,8 @@ fn steady_state_heartbeat_path_does_not_allocate() {
         "sliding window steady state must not allocate"
     );
 
-    // --- Full monitor: heartbeat emission with a warmed history ring.
-    let mut monitor = HeartbeatMonitor::new(
-        MonitorConfig::new("no-alloc")
-            .with_window_size(64)
-            .with_history_capacity(Some(128)),
-    );
+    // --- Full monitor: heartbeat emission with a warmed window.
+    let mut monitor = HeartbeatMonitor::new(MonitorConfig::new("no-alloc").with_window_size(64));
     let mut now = Timestamp::ZERO;
     for i in 0..512u64 {
         now += TimestampDelta::from_nanos(30_000_000 + (i * 6_271) % 5_000_000);

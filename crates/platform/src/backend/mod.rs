@@ -48,10 +48,10 @@
 use crate::error::PlatformError;
 use crate::frequency::{DvfsGovernor, FrequencyState, FrequencyTable};
 
-#[cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 mod sysfs;
 
-#[cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 pub use sysfs::SysfsCpufreqBackend;
 
 /// A cap at or above the table's highest frequency is no cap at all.

@@ -1,4 +1,4 @@
-//! The Linux sysfs/cpufreq backend (`dvfs-sysfs` feature, Linux only).
+//! The Linux sysfs/cpufreq backend (compiled on Linux only).
 //!
 //! Drives the kernel's cpufreq interface the same way the paper drove
 //! `cpufrequtils`: through the per-CPU files under
@@ -247,7 +247,7 @@ impl SysfsCpufreqBackend {
         Ok(backend)
     }
 
-    /// Attaches to the live system at [`SYSTEM_CPUFREQ_ROOT`].
+    /// Attaches to the live system at `/sys/devices/system/cpu`.
     ///
     /// # Errors
     ///

@@ -11,8 +11,8 @@
 //!   frequency ladders (the paper's seven states are one table among many),
 //!   table-relative states, and the software control over them;
 //! * [`backend`] — the pluggable DVFS actuation seam: [`DvfsBackend`] with a
-//!   simulated implementation ([`SimBackend`]) and, behind the `dvfs-sysfs`
-//!   feature on Linux, a real sysfs/cpufreq implementation;
+//!   simulated implementation ([`SimBackend`]) and, on Linux, a real
+//!   sysfs/cpufreq implementation (`SysfsCpufreqBackend`);
 //! * [`PowerModel`], [`PowerSampler`], and [`EnergyAccount`] — full-system
 //!   power as a function of frequency and utilization, 1 Hz sampling, and
 //!   energy integration;
@@ -53,7 +53,7 @@ mod power;
 mod powercap;
 mod workload;
 
-#[cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 pub use backend::SysfsCpufreqBackend;
 pub use backend::{DvfsBackend, SimBackend};
 pub use cluster::{Cluster, ClusterPowerBreakdown};

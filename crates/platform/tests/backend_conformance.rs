@@ -10,7 +10,7 @@
 
 use powerdial_platform::{DvfsBackend, FrequencyTable, PlatformError, SimBackend};
 
-#[cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 mod common;
 
 /// Runs the conformance battery, asserting the contract and returning the
@@ -140,7 +140,7 @@ fn sim_backend_passes_the_battery_on_a_custom_table() {
     conformance_battery(&mut backend);
 }
 
-#[cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 mod sysfs {
     use super::*;
     use crate::common::FakeCpufreqTree;

@@ -6,7 +6,7 @@
 //! tables, CPUs disagreeing about the table, values changed behind the
 //! backend's back — and asserts the exact error variant that surfaces.
 
-#![cfg(all(feature = "dvfs-sysfs", target_os = "linux"))]
+#![cfg(target_os = "linux")]
 
 mod common;
 

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The cap actuates through the machine's DvfsBackend. The simulation
     // runs the paper's seven-state table; on hardware the same experiment
-    // drives a sysfs/cpufreq backend (`dvfs-sysfs` feature) whose table is
+    // drives the sysfs/cpufreq backend (Linux), whose table is
     // discovered from scaling_available_frequencies instead.
     let table = FrequencyTable::paper();
     println!("DVFS backend table: {} [{} kHz]", table, table.format());

@@ -62,14 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut broker = AttachBroker::bind(BrokerConfig::new(&socket_path))?;
     let mut daemon = PowerDialDaemon::new(DaemonConfig {
         workers: 0,
-        channel_capacity: 256,
-        window_size: 20,
         inline_apps: 0,
-        idle_skip_limit: 0,
-        drain_cap: 0,
-        telemetry: true,
-        trace_capacity: DaemonConfig::DEFAULT_TRACE_CAPACITY,
-        safe_point: 0,
+        ..DaemonConfig::default()
     })?;
     println!(
         "controller: broker listening on {} (target 30 beats/s)\n",
